@@ -352,29 +352,33 @@ std::vector<double> TimeSetups(const std::function<void()>& generate,
 
 // --- closed loop ------------------------------------------------------------
 
-double GroupedRate(const std::vector<double>& latencies_ms,
-                   const std::vector<bool>& ok, int64_t group) {
-  const auto n = static_cast<int64_t>(latencies_ms.size());
-  if (group < 1 || n < group) group = std::max<int64_t>(n, 1);
-  std::vector<double> rates;
-  for (int64_t g = 0; g + group <= n; g += group) {
-    double busy_s = 0;
-    int64_t good = 0;
-    for (int64_t i = g; i < g + group; ++i) {
-      busy_s += latencies_ms[static_cast<size_t>(i)] * 1e-3;
-      good += ok[static_cast<size_t>(i)] ? 1 : 0;
-    }
-    rates.push_back(busy_s > 0 ? static_cast<double>(good) / busy_s : 0);
+double ServiceRate(const std::vector<double>& latencies_ms,
+                   const std::vector<bool>& ok, const std::vector<int>& kinds) {
+  std::map<int, std::vector<double>> by_kind;
+  int64_t good = 0;
+  for (size_t i = 0; i < latencies_ms.size(); ++i) {
+    std::vector<double>& times = by_kind[kinds[i]];
+    if (!ok[i]) continue;
+    times.push_back(latencies_ms[i] * 1e-3);
+    ++good;
   }
-  return Median(rates);
+  double pass_s = 0;
+  for (const auto& [kind, times] : by_kind) {
+    if (times.empty()) return 0;
+    pass_s += Percentile(times, kServiceQuantile);
+  }
+  if (pass_s <= 0) return 0;
+  return static_cast<double>(by_kind.size()) / pass_s *
+         static_cast<double>(good) / static_cast<double>(latencies_ms.size());
 }
 
 LoopResult RunClosedLoop(
-    int clients, double seconds, int64_t min_requests, int64_t group,
+    int clients, double seconds, int64_t min_requests,
     const std::function<Request(int client, int64_t seq)>& make_request) {
   struct ClientTally {
     std::vector<double> latencies_ms;
     std::vector<bool> ok_flags;
+    std::vector<int> kinds;
     int64_t ok = 0, wrong = 0, errors = 0, refused = 0;
   };
   std::vector<ClientTally> tallies(static_cast<size_t>(clients));
@@ -404,6 +408,7 @@ LoopResult RunClosedLoop(
       }
       t.latencies_ms.push_back((t1 - t0) * 1e3);
       t.ok_flags.push_back(o == Outcome::kOk);
+      t.kinds.push_back(req.kind);
       switch (o) {
         case Outcome::kOk: ++t.ok; break;
         case Outcome::kWrong: ++t.wrong; break;
@@ -426,7 +431,7 @@ LoopResult RunClosedLoop(
     out.wrong += t.wrong;
     out.errors += t.errors;
     out.refused += t.refused;
-    out.stmt_per_s += GroupedRate(t.latencies_ms, t.ok_flags, group);
+    out.stmt_per_s += ServiceRate(t.latencies_ms, t.ok_flags, t.kinds);
   }
   out.attempted = static_cast<int64_t>(out.latencies_ms.size());
   return out;

@@ -133,6 +133,8 @@ enum class Outcome { kOk, kWrong, kError, kRefused };
 struct Request {
   std::function<Outcome()> execute;
   std::function<Outcome()> verify;
+  /// Which statement of the client's mix this is (0..k-1), for ServiceRate.
+  int kind = 0;
 };
 
 struct LoopResult {
@@ -142,26 +144,35 @@ struct LoopResult {
   int64_t wrong = 0;
   int64_t errors = 0;
   int64_t refused = 0;
-  /// Σ over clients of the client's GroupedRate.
+  /// Σ over clients of the client's ServiceRate.
   double stmt_per_s = 0;
   int64_t failed() const { return wrong + errors + refused; }
 };
 
-/// Correct requests per second of busy time (the summed latencies), taken
-/// per consecutive group of `group` requests; returns the median group
-/// rate, so a stall from outside the program moves one group, not the
-/// result. Verification and request preparation are not busy time.
-double GroupedRate(const std::vector<double>& latencies_ms,
-                   const std::vector<bool>& ok, int64_t group);
+/// The percentile of a statement's latencies that ServiceRate takes as its
+/// time.
+inline constexpr double kServiceQuantile = 0.10;
+
+/// Correct requests per second one client sustains at the program's own
+/// speed. Per kind (a statement of the client's mix), the kServiceQuantile
+/// percentile of the latencies of its correct requests; the rate is the
+/// number of kinds over the sum of those times, scaled by the share of
+/// requests that were correct. Other tenants of a shared host only ever add
+/// time to a request, and they do so in phases that cover many requests, so
+/// a low percentile per statement follows the program where the mean or
+/// median follows the host; the latency percentiles keep the tail. A kind
+/// without a correct request gives 0. Verification and request preparation
+/// are not part of a latency.
+double ServiceRate(const std::vector<double>& latencies_ms,
+                   const std::vector<bool>& ok, const std::vector<int>& kinds);
 
 /// `clients` threads each send their next request only after the previous
 /// one finished (closed loop), for `seconds` and until at least
 /// `min_requests` requests completed in total (bounded by a hard cap of
 /// 60 extra seconds). `make_request(client, seq)` builds a client's seq-th
-/// request; it runs on that client's thread. `group` is the GroupedRate
-/// group size: a whole number of passes over the workload's mix.
+/// request; it runs on that client's thread.
 LoopResult RunClosedLoop(
-    int clients, double seconds, int64_t min_requests, int64_t group,
+    int clients, double seconds, int64_t min_requests,
     const std::function<Request(int client, int64_t seq)>& make_request);
 
 // --- tracing ----------------------------------------------------------------

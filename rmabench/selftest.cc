@@ -147,7 +147,7 @@ void SelfTimeSubtractsChildren() {
 
 void ClosedLoopRunsUntilMinimumSamples() {
   const rmabench::LoopResult r = rmabench::RunClosedLoop(
-      2, 0.0, 50, 5, [](int, int64_t) {
+      2, 0.0, 50, [](int, int64_t) {
         rmabench::Request req;
         req.execute = [] { return rmabench::Outcome::kOk; };
         return req;
@@ -157,14 +157,29 @@ void ClosedLoopRunsUntilMinimumSamples() {
   EXPECT(r.failed() == 0);
 }
 
-void GroupedRateIgnoresOneStall() {
-  std::vector<double> latencies_ms(40, 1.0);
-  latencies_ms[7] = 1000.0;  // one stalled request
-  std::vector<bool> ok(40, true);
-  EXPECT(rmabench::GroupedRate(latencies_ms, ok, 4) == 1000.0);
-  ok[20] = false;  // a failed request lowers its group only
-  EXPECT(rmabench::GroupedRate(latencies_ms, ok, 4) == 1000.0);
-  EXPECT(rmabench::GroupedRate(latencies_ms, ok, 40) < 100.0);
+void ServiceRateFollowsTheProgramNotThePhase() {
+  // Two statements, 1 ms and 3 ms, in alternation: 500 passes per second.
+  std::vector<double> latencies_ms;
+  std::vector<int> kinds;
+  for (int i = 0; i < 100; ++i) {
+    latencies_ms.push_back(i % 2 == 0 ? 1.0 : 3.0);
+    kinds.push_back(i % 2);
+  }
+  std::vector<bool> ok(100, true);
+  EXPECT(rmabench::ServiceRate(latencies_ms, ok, kinds) == 500.0);
+  // A stall and a slow phase over half the run leave the rate alone.
+  latencies_ms[7] = 1000.0;
+  for (int i = 50; i < 100; ++i) latencies_ms[static_cast<size_t>(i)] *= 2;
+  EXPECT(rmabench::ServiceRate(latencies_ms, ok, kinds) == 500.0);
+  // A program twice as slow on every request halves it.
+  for (double& ms : latencies_ms) ms *= 2;
+  EXPECT(rmabench::ServiceRate(latencies_ms, ok, kinds) == 250.0);
+  // Failed requests count against it; a statement that never succeeds
+  // leaves no rate.
+  ok[10] = false;
+  EXPECT(rmabench::ServiceRate(latencies_ms, ok, kinds) == 250.0 * 0.99);
+  for (int i = 1; i < 100; i += 2) ok[static_cast<size_t>(i)] = false;
+  EXPECT(rmabench::ServiceRate(latencies_ms, ok, kinds) == 0.0);
 }
 
 }  // namespace
@@ -177,7 +192,7 @@ int main() {
   SetupTimeExcludesDataGeneration();
   SelfTimeSubtractsChildren();
   ClosedLoopRunsUntilMinimumSamples();
-  GroupedRateIgnoresOneStall();
+  ServiceRateFollowsTheProgramNotThePhase();
   std::printf("%s (%d failures)\n", failures == 0 ? "PASS" : "FAIL", failures);
   return failures == 0 ? 0 : 1;
 }

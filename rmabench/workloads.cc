@@ -37,8 +37,6 @@ const int64_t kMinRequests = MinSamplesFor(0.95, 10);
 /// Traced runs spend this share of --seconds untraced (the overhead
 /// baseline) and the rest traced.
 constexpr double kUntracedShare = 1.0 / 3.0;
-/// Passes over the mix per GroupedRate group.
-constexpr int64_t kGroupPasses = 4;
 
 struct Statement {
   std::string key;
@@ -268,10 +266,10 @@ LoopResult InProcessLoop(sql::Database& db, const NextStatement& next,
                          Violations* v) {
   Relation result;
   Statement s;
-  return RunClosedLoop(1, seconds, min_requests, period * kGroupPasses,
-                       [&](int, int64_t seq) {
+  return RunClosedLoop(1, seconds, min_requests, [&](int, int64_t seq) {
     s = next(seq);
     Request req;
+    req.kind = static_cast<int>(seq % period);
     req.execute = [&, tr, ops] {
       return tr != nullptr ? TracedSelect(db, s, tr, &result, ops, v)
                            : ExecuteStatement(db, s, &result, v);
@@ -845,8 +843,7 @@ rma::Result<RunOutput> RunAnalystPipeline(const RunOptions& opts) {
   auto loop = [&](double seconds, int64_t min_requests, Tracer* tr) {
     std::vector<Relation> results;
     Round round;
-    return RunClosedLoop(1, seconds, min_requests, kGroupPasses,
-                         [&, tr](int, int64_t) {
+    return RunClosedLoop(1, seconds, min_requests, [&, tr](int, int64_t) {
       round = make_round(rounds_made++);
       Request req;
       req.execute = [&, tr] {
@@ -1052,12 +1049,11 @@ rma::Result<RunOutput> RunServerClients(const RunOptions& opts) {
   auto server_loop = [&](double seconds, int64_t min_requests, Tracer* tr) {
     std::vector<Relation> results(kServerClients);
     return RunClosedLoop(
-        kServerClients, seconds, min_requests,
-        static_cast<int64_t>(mix.size()) * kGroupPasses,
-        [&, tr](int c, int64_t seq) {
+        kServerClients, seconds, min_requests, [&, tr](int c, int64_t seq) {
           const size_t s = static_cast<size_t>(seq + c) % mix.size();
           Relation* slot = &results[static_cast<size_t>(c)];
           Request req;
+          req.kind = static_cast<int>(s);
           req.execute = [&, tr, c, s, slot] {
             if (tr == nullptr) return run_on_client(c, s, slot, nullptr);
             tr->NewRequest();
