@@ -1,5 +1,6 @@
 #include "matrix/qr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -32,12 +33,18 @@ ColumnStore ToColumns(const DenseMatrix& a) {
   return cols;
 }
 
+/// Columns per fused reduction in ApplyReflector.
+constexpr int64_t kGroup = 4;
+
 // Applies the reflector in `v` (scaled so v[j] = 1, entries below j) to
-// columns [c_begin, c_end) of `cols`. With SIMD enabled each column is one
-// vector dot plus one vector axpy over the sub-diagonal range; the scalar
-// fallback processes columns four at a time so each pass over `v` feeds four
-// accumulators — the register blocking that lets the dense path outrun the
-// column-at-a-time BAT algorithm.
+// columns [c_begin, c_end) of `cols`. Columns go in groups of kGroup counted
+// from c_begin, so each pass over `v` feeds four accumulators — the register
+// blocking that lets the dense path outrun the column-at-a-time BAT
+// algorithm. With SIMD enabled a group is one fused `simd::Dot4` plus
+// `simd::AxpyTo4`, and the leftover columns past the last full group use
+// `simd::Dot`/`simd::Axpy`. The two reductions round differently, so a
+// column's result depends on where its group starts: a caller that splits a
+// range must split it on group boundaries (ApplyReflectorSplit does).
 void ApplyReflector(const std::vector<double>& v, int64_t j, double beta,
                     ColumnStore* cols, int64_t c_begin, int64_t c_end) {
   const int64_t m = static_cast<int64_t>(v.size());
@@ -119,11 +126,35 @@ void ApplyReflector(const std::vector<double>& v, int64_t j, double beta,
   }
 }
 
+// Applies the reflector to columns [c_begin, c_end) across `threads` workers
+// once the update is big enough to pay for them. Workers get whole kGroup
+// column groups counted from c_begin, so every column takes the same
+// reduction path as in the sequential call and the result is bit-identical
+// on every thread count.
+void ApplyReflectorSplit(const std::vector<double>& v, int64_t j, double beta,
+                         ColumnStore* cols, int64_t c_begin, int64_t c_end,
+                         int threads) {
+  const int64_t m = static_cast<int64_t>(v.size());
+  const int64_t ncols = c_end - c_begin;
+  if (threads == 1 || (m - j) * ncols <= kParallelWork) {
+    ApplyReflector(v, j, beta, cols, c_begin, c_end);
+    return;
+  }
+  ParallelFor(
+      0, (ncols + kGroup - 1) / kGroup,
+      [&](int64_t lo, int64_t hi) {
+        ApplyReflector(v, j, beta, cols, c_begin + kGroup * lo,
+                       std::min(c_end, c_begin + kGroup * hi));
+      },
+      /*min_chunk=*/1, threads);
+}
+
 // Householder factorization in-place over the column store: reflectors below
 // the diagonal (scaled so v[j] = 1) + `betas`, R in the upper triangle. The
 // trailing-matrix update distributes columns across `threads` workers
-// (columns are independent given the reflector) — the "MKL leverages the
-// hardware" behaviour of Sec. 8.3.
+// (columns are independent given the reflector; the split is per kGroup
+// column group, see ApplyReflectorSplit) — the "MKL leverages the hardware"
+// behaviour of Sec. 8.3.
 void HouseholderInPlace(ColumnStore* cols, std::vector<double>* betas,
                         int threads) {
   const int64_t k = static_cast<int64_t>(cols->size());
@@ -149,17 +180,7 @@ void HouseholderInPlace(ColumnStore* cols, std::vector<double>* betas,
     (*betas)[static_cast<size_t>(j)] = beta;
     cj[static_cast<size_t>(j)] = alpha;
     // Apply the reflector to the remaining columns.
-    const int64_t cols_left = k - j - 1;
-    if (threads != 1 && cols_left > 1 && (m - j) * cols_left > kParallelWork) {
-      ParallelFor(
-          j + 1, k,
-          [&](int64_t lo, int64_t hi) {
-            ApplyReflector(cj, j, beta, cols, lo, hi);
-          },
-          /*min_chunk=*/1, threads);
-    } else {
-      ApplyReflector(cj, j, beta, cols, j + 1, k);
-    }
+    ApplyReflectorSplit(cj, j, beta, cols, j + 1, k, threads);
   }
 }
 
@@ -176,17 +197,8 @@ ColumnStore AccumulateQ(const ColumnStore& h, const std::vector<double>& betas,
   for (int64_t j = k - 1; j >= 0; --j) {
     const double beta = betas[static_cast<size_t>(j)];
     if (beta == 0.0) continue;
-    const auto& hj = h[static_cast<size_t>(j)];
-    if (threads != 1 && qcols > 1 && (m - j) * qcols > kParallelWork) {
-      ParallelFor(
-          0, qcols,
-          [&](int64_t lo, int64_t hi) {
-            ApplyReflector(hj, j, beta, &q, lo, hi);
-          },
-          /*min_chunk=*/1, threads);
-    } else {
-      ApplyReflector(hj, j, beta, &q, 0, qcols);
-    }
+    ApplyReflectorSplit(h[static_cast<size_t>(j)], j, beta, &q, 0, qcols,
+                        threads);
   }
   return q;
 }

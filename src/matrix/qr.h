@@ -15,8 +15,12 @@ namespace rma {
 /// same R, so results agree up to row order, which origins capture.
 ///
 /// `threads` distributes the reflector applications across workers
-/// (0 = all hardware threads, 1 = sequential — the competitor simulations
-/// use 1 to model R's single-threaded LINPACK qr()).
+/// (0 = the ambient ScopedThreadBudget, or DefaultThreadCount() when no
+/// budget is set; 1 = sequential — the competitor simulations use 1 to model
+/// R's single-threaded LINPACK qr()). Q and R are bit-identical for every
+/// `threads` value: workers split the columns on the boundaries of the fused
+/// 4-column reductions, so each column's arithmetic never depends on the
+/// partition.
 Status HouseholderQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
                      int threads = 0);
 
@@ -26,7 +30,8 @@ Status HouseholderQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r,
 Status GramSchmidtQr(const DenseMatrix& a, DenseMatrix* q, DenseMatrix* r);
 
 /// Full orthogonal factor: m×m Q whose first k columns equal the thin Q
-/// (used to complete USV's full left-singular basis).
+/// (used to complete USV's full left-singular basis). `threads` as for
+/// HouseholderQr, with the same bit-identical guarantee.
 Status FullQ(const DenseMatrix& a, DenseMatrix* q_full, int threads = 0);
 
 }  // namespace rma

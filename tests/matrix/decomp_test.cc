@@ -177,6 +177,44 @@ TEST(Qr, ParallelMatchesSingleThread) {
   EXPECT_TRUE(r1.AllClose(r2, 0.0));
 }
 
+TEST(Qr, ThreadBudgetSweepIsBitIdentical) {
+  // Explicit budgets partition the reflector updates even on a 1-core host.
+  // The shapes cross the parallel threshold with trailing column counts of
+  // every residue mod 4 (the width of the fused reductions), for both the
+  // R sweep (columns j+1..k) and the Q accumulation (columns 0..k).
+  struct Shape {
+    int64_t rows;
+    int64_t cols;
+  };
+  const Shape shapes[] = {{4000, 70}, {9000, 33}, {70000, 5}, {3000, 130}};
+  for (const Shape& s : shapes) {
+    const DenseMatrix a = RandomMatrix(s.rows, s.cols, 23);
+    DenseMatrix q1;
+    DenseMatrix r1;
+    ASSERT_OK(HouseholderQr(a, &q1, &r1, /*threads=*/1));
+    for (int threads : {2, 3, 5, 8}) {
+      SCOPED_TRACE(::testing::Message() << s.rows << "x" << s.cols
+                                        << " threads=" << threads);
+      DenseMatrix q;
+      DenseMatrix r;
+      ASSERT_OK(HouseholderQr(a, &q, &r, threads));
+      EXPECT_TRUE(q1.AllClose(q, 0.0));
+      EXPECT_TRUE(r1.AllClose(r, 0.0));
+    }
+  }
+  // FullQ accumulates m columns of Q: 700 splits off group boundaries on
+  // most budgets unless the split is per group.
+  const DenseMatrix a = RandomMatrix(700, 20, 24);
+  DenseMatrix qf1;
+  ASSERT_OK(FullQ(a, &qf1, /*threads=*/1));
+  for (int threads : {2, 3, 5, 8}) {
+    SCOPED_TRACE(::testing::Message() << "FullQ threads=" << threads);
+    DenseMatrix qf;
+    ASSERT_OK(FullQ(a, &qf, threads));
+    EXPECT_TRUE(qf1.AllClose(qf, 0.0));
+  }
+}
+
 TEST(Qr, RowPermutationOnlyPermutesQ) {
   // The property behind the qqr sort-avoidance optimization.
   const DenseMatrix a = RandomMatrix(12, 4, 17);
