@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 
 #include "core/constructors.h"
 #include "core/kernels.h"
@@ -24,13 +26,27 @@ namespace {
 
 using testing::RandomKeyedRelation;
 
+// gtest prints a parameter without operator<< as its raw bytes, and CTest
+// puts that text into the test's name. Every byte of a case is therefore a
+// member set to a known value: implicit padding would print whatever the
+// stack held, and the test names would change from one build to the next.
 struct UnaryCase {
+  UnaryCase(MatrixOp op_, int64_t rows_, int cols_, uint64_t seed_,
+            bool symmetric_input_)
+      : op(op_), rows(rows_), cols(cols_), seed(seed_),
+        symmetric_input(symmetric_input_) {}
+
   MatrixOp op;
+  int32_t pad0 = 0;
   int64_t rows;
   int cols;
+  int32_t pad1 = 0;
   uint64_t seed;
   bool symmetric_input;  // evc/evl/chf need symmetric (SPD) inputs
+  char pad2[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<UnaryCase>,
+              "UnaryCase must have no implicit padding");
 
 std::string UnaryCaseName(const ::testing::TestParamInfo<UnaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_" +
@@ -235,14 +251,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- binary properties ------------------------------------------------------------
 
+// Explicit padding, as for UnaryCase.
 struct BinaryCase {
+  BinaryCase(MatrixOp op_, int64_t rows_r_, int cols_r_, int64_t rows_s_,
+             int cols_s_, uint64_t seed_)
+      : op(op_), rows_r(rows_r_), cols_r(cols_r_), rows_s(rows_s_),
+        cols_s(cols_s_), seed(seed_) {}
+
   MatrixOp op;
+  int32_t pad0 = 0;
   int64_t rows_r;
   int cols_r;
+  int32_t pad1 = 0;
   int64_t rows_s;
   int cols_s;
+  int32_t pad2 = 0;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<BinaryCase>,
+              "BinaryCase must have no implicit padding");
 
 std::string BinaryCaseName(const ::testing::TestParamInfo<BinaryCase>& info) {
   return std::string(GetOpInfo(info.param.op).name) + "_s" +
