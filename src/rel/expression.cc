@@ -1,6 +1,9 @@
 #include "rel/expression.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <type_traits>
 
 #include "util/string_util.h"
 
@@ -54,22 +57,35 @@ std::string Expr::ToString() const {
 
 namespace {
 
-bool IsComparisonOp(const std::string& op) {
-  return op == "<" || op == "<=" || op == ">" || op == ">=" || op == "=" ||
-         op == "==" || op == "<>" || op == "!=";
+ExprOp BinaryOp(const std::string& op) {
+  if (op == "+") return ExprOp::kAdd;
+  if (op == "-") return ExprOp::kSub;
+  if (op == "*") return ExprOp::kMul;
+  if (op == "/") return ExprOp::kDiv;
+  if (op == "%") return ExprOp::kMod;
+  if (op == "<") return ExprOp::kLt;
+  if (op == "<=") return ExprOp::kLe;
+  if (op == ">") return ExprOp::kGt;
+  if (op == ">=") return ExprOp::kGe;
+  if (op == "=" || op == "==") return ExprOp::kEq;
+  if (op == "<>" || op == "!=") return ExprOp::kNe;
+  if (op == "AND") return ExprOp::kAnd;
+  if (op == "OR") return ExprOp::kOr;
+  return ExprOp::kNone;
 }
 
-bool IsLogicOp(const std::string& op) { return op == "AND" || op == "OR"; }
-
-bool IsArithmeticOp(const std::string& op) {
-  return op == "+" || op == "-" || op == "*" || op == "/" || op == "%";
+ExprOp FunctionOp(const std::string& fn) {
+  if (fn == "SQRT") return ExprOp::kSqrt;
+  if (fn == "ABS") return ExprOp::kAbs;
+  if (fn == "LN") return ExprOp::kLn;
+  if (fn == "EXP") return ExprOp::kExp;
+  if (fn == "POW") return ExprOp::kPow;
+  return ExprOp::kNone;
 }
 
-int FunctionArity(const std::string& fn) {
-  if (fn == "SQRT" || fn == "ABS" || fn == "LN" || fn == "EXP") return 1;
-  if (fn == "POW") return 2;
-  return -1;
-}
+bool IsArithmetic(ExprOp op) { return op >= ExprOp::kAdd && op <= ExprOp::kMod; }
+
+bool IsComparison(ExprOp op) { return op >= ExprOp::kLt && op <= ExprOp::kNe; }
 
 }  // namespace
 
@@ -100,13 +116,15 @@ Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema) {
     }
     case Expr::Kind::kUnary: {
       RMA_ASSIGN_OR_RETURN(BoundExpr child, Bind(expr->children()[0], schema));
-      out.op_ = ToUpper(expr->name());
-      if (out.op_ == "-") {
+      const std::string op = ToUpper(expr->name());
+      if (op == "-") {
         if (!IsNumeric(child.type())) {
           return Status::TypeError("unary - on non-numeric operand");
         }
+        out.op_ = ExprOp::kNeg;
         out.type_ = child.type();
-      } else if (out.op_ == "NOT") {
+      } else if (op == "NOT") {
+        out.op_ = ExprOp::kNot;
         out.type_ = DataType::kInt64;
       } else {
         return Status::Invalid("unknown unary operator: " + expr->name());
@@ -117,33 +135,34 @@ Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema) {
     case Expr::Kind::kBinary: {
       RMA_ASSIGN_OR_RETURN(BoundExpr lhs, Bind(expr->children()[0], schema));
       RMA_ASSIGN_OR_RETURN(BoundExpr rhs, Bind(expr->children()[1], schema));
-      out.op_ = ToUpper(expr->name());
-      if (IsArithmeticOp(out.op_)) {
+      out.op_ = BinaryOp(ToUpper(expr->name()));
+      if (out.op_ == ExprOp::kNone) {
+        return Status::Invalid("unknown binary operator: " + expr->name());
+      }
+      if (IsArithmetic(out.op_)) {
         if (!IsNumeric(lhs.type()) || !IsNumeric(rhs.type())) {
           return Status::TypeError("arithmetic on non-numeric operand");
         }
         const bool both_int = lhs.type() == DataType::kInt64 &&
                               rhs.type() == DataType::kInt64;
-        out.type_ = (both_int && out.op_ != "/") ? DataType::kInt64
-                                                 : DataType::kDouble;
-      } else if (IsComparisonOp(out.op_) || IsLogicOp(out.op_)) {
-        out.type_ = DataType::kInt64;
+        out.type_ = (both_int && out.op_ != ExprOp::kDiv) ? DataType::kInt64
+                                                          : DataType::kDouble;
       } else {
-        return Status::Invalid("unknown binary operator: " + expr->name());
+        out.type_ = DataType::kInt64;  // comparison or logic
       }
       out.children_.push_back(std::move(lhs));
       out.children_.push_back(std::move(rhs));
       return out;
     }
     case Expr::Kind::kCall: {
-      const int arity = FunctionArity(expr->name());
-      if (arity < 0) {
+      out.op_ = FunctionOp(expr->name());
+      if (out.op_ == ExprOp::kNone) {
         return Status::Invalid("unknown function: " + expr->name());
       }
-      if (static_cast<int>(expr->children().size()) != arity) {
+      const size_t arity = out.op_ == ExprOp::kPow ? 2 : 1;
+      if (expr->children().size() != arity) {
         return Status::Invalid("wrong argument count for " + expr->name());
       }
-      out.op_ = expr->name();
       out.type_ = DataType::kDouble;
       for (const auto& c : expr->children()) {
         RMA_ASSIGN_OR_RETURN(BoundExpr bc, Bind(c, schema));
@@ -158,83 +177,487 @@ Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema) {
   return Status::Invalid("unreachable expression kind");
 }
 
-Value BoundExpr::Eval(const Relation& r, int64_t row) const {
-  switch (kind_) {
-    case Expr::Kind::kColumn:
-      return r.Get(row, column_index_);
-    case Expr::Kind::kLiteral:
-      return literal_;
-    case Expr::Kind::kUnary: {
-      if (op_ == "-") {
-        const Value v = children_[0].Eval(r, row);
-        if (ValueType(v) == DataType::kInt64) {
-          return Value(-std::get<int64_t>(v));
-        }
-        return Value(-ValueToDouble(v));
-      }
-      return Value(static_cast<int64_t>(!children_[0].EvalBool(r, row)));
+// --- column-at-a-time evaluation ---------------------------------------------
+
+namespace {
+
+/// Element type of a mask: one byte per boolean row.
+using Mask = uint8_t;
+
+template <typename T>
+constexpr DataType TypeOf() {
+  if constexpr (std::is_same_v<T, int64_t> || std::is_same_v<T, Mask>) {
+    return DataType::kInt64;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return DataType::kDouble;
+  } else {
+    static_assert(std::is_same_v<T, std::string>);
+    return DataType::kString;
+  }
+}
+
+/// Integer-typed elements: int64 values and masks.
+template <typename T>
+constexpr bool kIsInt = std::is_same_v<T, int64_t> || std::is_same_v<T, Mask>;
+
+/// Calls `f` with the column's typed element pointer.
+template <typename F>
+auto Visit(const ExprColumn& c, F&& f) {
+  if (c.is_mask()) return f(c.data<Mask>());
+  if (c.type() == DataType::kInt64) return f(c.data<int64_t>());
+  if (c.type() == DataType::kDouble) return f(c.data<double>());
+  return f(c.data<std::string>());
+}
+
+template <typename P>
+using ElementOf = std::remove_cv_t<std::remove_pointer_t<P>>;
+
+bool IsTrue(Mask v) { return v != 0; }
+bool IsTrue(int64_t v) { return v != 0; }
+bool IsTrue(double v) { return v != 0.0; }  // NaN is true
+bool IsTrue(const std::string& v) { return !v.empty(); }
+
+template <typename T>
+Value Box(const T& v) {
+  if constexpr (std::is_same_v<T, Mask>) {
+    return Value(int64_t{v});
+  } else {
+    return Value(v);
+  }
+}
+
+// Numerics compare as doubles (so int64 values above 2^53 compare as their
+// double images), exactly as ValueLess/ValueEquals do; strings
+// lexicographically.
+template <typename A, typename B>
+bool Less(const A& u, const B& v) {
+  if constexpr (std::is_arithmetic_v<A>) {
+    return static_cast<double>(u) < static_cast<double>(v);
+  } else {
+    return u < v;
+  }
+}
+template <typename A, typename B>
+bool Equal(const A& u, const B& v) {
+  if constexpr (std::is_arithmetic_v<A>) {
+    return static_cast<double>(u) == static_cast<double>(v);
+  } else {
+    return u == v;
+  }
+}
+
+// Two's-complement wrap-around, without signed-overflow UB.
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+
+/// The output buffer of an elementwise kernel: an input's own storage when
+/// it has the result's element type and length (each output element is
+/// written after its inputs are read), else a fresh vector.
+template <typename R>
+std::vector<R> OutputFor(size_t n, ExprColumn& a) {
+  std::vector<R> out = a.ReleaseStorage<R>(n);
+  if (out.empty()) out.resize(n);
+  return out;
+}
+template <typename R>
+std::vector<R> OutputFor(size_t n, ExprColumn& a, ExprColumn& b) {
+  std::vector<R> out = a.ReleaseStorage<R>(n);
+  if (out.empty()) out = b.ReleaseStorage<R>(n);
+  if (out.empty()) out.resize(n);
+  return out;
+}
+
+/// Elementwise f over one column; a broadcast input yields a broadcast
+/// result.
+template <typename R, typename A, typename F>
+ExprColumn Map1(ExprColumn& a, const A* x, F f) {
+  const size_t n = static_cast<size_t>(a.broadcast() ? 1 : a.size());
+  std::vector<R> out = OutputFor<R>(n, a);
+  R* o = out.data();
+  for (size_t i = 0; i < n; ++i) o[i] = f(x[i]);
+  return ExprColumn::Owned(std::move(out), a.size(), a.broadcast());
+}
+
+/// Elementwise f over two columns of equal length; a broadcast side is read
+/// once, and two broadcast sides yield a broadcast result.
+template <typename R, typename A, typename B, typename F>
+ExprColumn Map2(ExprColumn& a, const A* x, ExprColumn& b, const B* y, F f) {
+  const bool broadcast = a.broadcast() && b.broadcast();
+  const size_t n = static_cast<size_t>(broadcast ? 1 : a.size());
+  std::vector<R> out = OutputFor<R>(n, a, b);
+  R* o = out.data();
+  if (!broadcast && a.broadcast()) {
+    const A x0 = x[0];
+    for (size_t i = 0; i < n; ++i) o[i] = f(x0, y[i]);
+  } else if (!broadcast && b.broadcast()) {
+    const B y0 = y[0];
+    for (size_t i = 0; i < n; ++i) o[i] = f(x[i], y0);
+  } else {
+    for (size_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
+  }
+  return ExprColumn::Owned(std::move(out), a.size(), broadcast);
+}
+
+template <typename A, typename B>
+ExprColumn Compare(ExprOp op, ExprColumn& a, const A* x, ExprColumn& b,
+                   const B* y) {
+  constexpr bool an = std::is_arithmetic_v<A>;
+  constexpr bool bn = std::is_arithmetic_v<B>;
+  if constexpr (an != bn) {
+    // Numerics order before strings and never equal one: the result is the
+    // same on every row.
+    bool v = true;
+    switch (op) {
+      case ExprOp::kLt:
+      case ExprOp::kLe:
+        v = an;
+        break;
+      case ExprOp::kGt:
+      case ExprOp::kGe:
+        v = bn;
+        break;
+      case ExprOp::kEq:
+        v = false;
+        break;
+      default:
+        break;
     }
+    return ExprColumn::Owned(std::vector<Mask>{v}, a.size(), true);
+  } else {
+    switch (op) {
+      case ExprOp::kLt:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{Less(u, v)};
+        });
+      case ExprOp::kGt:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{Less(v, u)};
+        });
+      case ExprOp::kLe:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{!Less(v, u)};
+        });
+      case ExprOp::kGe:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{!Less(u, v)};
+        });
+      case ExprOp::kEq:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{Equal(u, v)};
+        });
+      default:
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return Mask{!Equal(u, v)};
+        });
+    }
+  }
+}
+
+template <typename A, typename B>
+ExprColumn Arithmetic(ExprOp op, ExprColumn& a, const A* x, ExprColumn& b,
+                      const B* y) {
+  if constexpr (!std::is_arithmetic_v<A> || !std::is_arithmetic_v<B>) {
+    RMA_CHECK(false && "arithmetic on a string operand passed Bind");
+    return ExprColumn::Broadcast(Value(int64_t{0}), a.size());
+  } else {
+    if constexpr (kIsInt<A> && kIsInt<B>) {
+      // Integer + - * % stay int64; only / goes through double.
+      switch (op) {
+        case ExprOp::kAdd:
+          return Map2<int64_t>(a, x, b, y, [](int64_t u, int64_t v) {
+            return Wrap(static_cast<uint64_t>(u) + static_cast<uint64_t>(v));
+          });
+        case ExprOp::kSub:
+          return Map2<int64_t>(a, x, b, y, [](int64_t u, int64_t v) {
+            return Wrap(static_cast<uint64_t>(u) - static_cast<uint64_t>(v));
+          });
+        case ExprOp::kMul:
+          return Map2<int64_t>(a, x, b, y, [](int64_t u, int64_t v) {
+            return Wrap(static_cast<uint64_t>(u) * static_cast<uint64_t>(v));
+          });
+        case ExprOp::kMod:
+          // x % 0 = 0; x % -1 is 0 too, without INT64_MIN % -1 trapping.
+          return Map2<int64_t>(a, x, b, y, [](int64_t u, int64_t v) {
+            return (v == 0 || v == -1) ? int64_t{0} : u % v;
+          });
+        default:
+          break;
+      }
+    }
+    switch (op) {
+      case ExprOp::kAdd:
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          return static_cast<double>(u) + static_cast<double>(v);
+        });
+      case ExprOp::kSub:
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          return static_cast<double>(u) - static_cast<double>(v);
+        });
+      case ExprOp::kMul:
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          return static_cast<double>(u) * static_cast<double>(v);
+        });
+      case ExprOp::kDiv:
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          const double d = static_cast<double>(v);
+          return d == 0.0 ? 0.0 : static_cast<double>(u) / d;
+        });
+      default:
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          const double d = static_cast<double>(v);
+          return d == 0.0 ? 0.0 : std::fmod(static_cast<double>(u), d);
+        });
+    }
+  }
+}
+
+ExprColumn EvalBinary(ExprOp op, ExprColumn a, ExprColumn b) {
+  return Visit(a, [&](const auto* x) {
+    return Visit(b, [&](const auto* y) {
+      using A = ElementOf<decltype(x)>;
+      using B = ElementOf<decltype(y)>;
+      // Both sides are evaluated; no operator has side effects or errors.
+      if (op == ExprOp::kAnd) {
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return static_cast<Mask>(IsTrue(u) & IsTrue(v));
+        });
+      }
+      if (op == ExprOp::kOr) {
+        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
+          return static_cast<Mask>(IsTrue(u) | IsTrue(v));
+        });
+      }
+      if (IsComparison(op)) return Compare(op, a, x, b, y);
+      return Arithmetic(op, a, x, b, y);
+    });
+  });
+}
+
+ExprColumn EvalUnary(ExprOp op, ExprColumn a) {
+  return Visit(a, [&](const auto* x) {
+    using A = ElementOf<decltype(x)>;
+    if constexpr (std::is_arithmetic_v<A>) {
+      if (op == ExprOp::kNeg) {
+        if constexpr (kIsInt<A>) {
+          return Map1<int64_t>(
+              a, x, [](A u) { return Wrap(0 - static_cast<uint64_t>(u)); });
+        } else {
+          return Map1<double>(a, x, [](double u) { return -u; });
+        }
+      }
+    }
+    RMA_CHECK(op == ExprOp::kNot);
+    return Map1<Mask>(a, x, [](const A& u) { return Mask{!IsTrue(u)}; });
+  });
+}
+
+ExprColumn EvalFunction(ExprOp op, ExprColumn a) {
+  return Visit(a, [&](const auto* x) {
+    using A = ElementOf<decltype(x)>;
+    if constexpr (!std::is_arithmetic_v<A>) {
+      RMA_CHECK(false && "function of a string operand passed Bind");
+      return ExprColumn::Broadcast(Value(0.0), a.size());
+    } else {
+      double (*fn)(double) = nullptr;
+      switch (op) {
+        case ExprOp::kSqrt:
+          fn = [](double u) { return std::sqrt(u); };
+          break;
+        case ExprOp::kAbs:
+          fn = [](double u) { return std::fabs(u); };
+          break;
+        case ExprOp::kLn:
+          fn = [](double u) { return std::log(u); };
+          break;
+        default:
+          RMA_CHECK(op == ExprOp::kExp);
+          fn = [](double u) { return std::exp(u); };
+          break;
+      }
+      return Map1<double>(a, x,
+                          [fn](A u) { return fn(static_cast<double>(u)); });
+    }
+  });
+}
+
+ExprColumn EvalPow(ExprColumn a, ExprColumn b) {
+  return Visit(a, [&](const auto* x) {
+    return Visit(b, [&](const auto* y) {
+      using A = ElementOf<decltype(x)>;
+      using B = ElementOf<decltype(y)>;
+      if constexpr (!std::is_arithmetic_v<A> || !std::is_arithmetic_v<B>) {
+        RMA_CHECK(false && "function of a string operand passed Bind");
+        return ExprColumn::Broadcast(Value(0.0), a.size());
+      } else {
+        return Map2<double>(a, x, b, y, [](A u, B v) {
+          return std::pow(static_cast<double>(u), static_cast<double>(v));
+        });
+      }
+    });
+  });
+}
+
+/// Contiguous values of `bat` when it stores them that way, else nullptr.
+template <typename T>
+const T* ContiguousValues(const Bat& bat) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return bat.ContiguousInt64Data();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return bat.ContiguousDoubleData();
+  } else {
+    const auto* s = dynamic_cast<const StringBat*>(&bat);
+    return s != nullptr ? s->data().data() : nullptr;
+  }
+}
+
+template <typename T>
+T ElementAt(const Bat& bat, int64_t i) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return std::get<int64_t>(bat.GetValue(i));
+  } else if constexpr (std::is_same_v<T, double>) {
+    return bat.GetDouble(i);
+  } else {
+    return bat.GetString(i);
+  }
+}
+
+/// A column reference: malloc-backed tails (TypedBat, slice views) are
+/// viewed in place; out-of-core columns are copied out in bulk under one
+/// pin, and other representations (sparse) through the virtual accessors.
+template <typename T>
+ExprColumn ReadColumn(const BatPtr& bat) {
+  const int64_t n = bat->size();
+  if (bat->StableData()) {
+    if (const T* p = ContiguousValues<T>(*bat)) {
+      return ExprColumn::View(bat, p, n);
+    }
+  }
+  std::vector<T> out(static_cast<size_t>(n));
+  // A failed pin (torn page) leaves the per-element accessors, which report
+  // it; SQL binding has already turned such failures into statement errors.
+  const bool pinned = bat->PinData().ok();
+  if (const T* p = pinned ? ContiguousValues<T>(*bat) : nullptr) {
+    std::copy(p, p + n, out.begin());
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      out[static_cast<size_t>(i)] = ElementAt<T>(*bat, i);
+    }
+  }
+  if (pinned) bat->UnpinData();
+  return ExprColumn::Owned(std::move(out), n, /*broadcast=*/false);
+}
+
+}  // namespace
+
+template <typename T>
+ExprColumn ExprColumn::Owned(std::vector<T> values, int64_t rows,
+                             bool broadcast) {
+  ExprColumn c(TypeOf<T>(), rows, broadcast);
+  c.mask_ = std::is_same_v<T, Mask>;
+  c.Slot<T>() = std::move(values);
+  c.data_ = c.Slot<T>().data();
+  return c;
+}
+
+template <typename T>
+ExprColumn ExprColumn::View(BatPtr source, const T* data, int64_t rows) {
+  ExprColumn c(TypeOf<T>(), rows, /*broadcast=*/false);
+  c.source_ = std::move(source);
+  c.data_ = data;
+  return c;
+}
+
+template ExprColumn ExprColumn::Owned(std::vector<int64_t>, int64_t, bool);
+template ExprColumn ExprColumn::Owned(std::vector<double>, int64_t, bool);
+template ExprColumn ExprColumn::Owned(std::vector<std::string>, int64_t, bool);
+template ExprColumn ExprColumn::Owned(std::vector<Mask>, int64_t, bool);
+template ExprColumn ExprColumn::View(BatPtr, const int64_t*, int64_t);
+template ExprColumn ExprColumn::View(BatPtr, const double*, int64_t);
+template ExprColumn ExprColumn::View(BatPtr, const std::string*, int64_t);
+
+ExprColumn ExprColumn::Broadcast(const Value& v, int64_t rows) {
+  switch (ValueType(v)) {
+    case DataType::kInt64:
+      return Owned(std::vector<int64_t>{std::get<int64_t>(v)}, rows, true);
+    case DataType::kDouble:
+      return Owned(std::vector<double>{std::get<double>(v)}, rows, true);
+    case DataType::kString:
+      break;
+  }
+  return Owned(std::vector<std::string>{std::get<std::string>(v)}, rows, true);
+}
+
+Value ExprColumn::ValueAt(int64_t i) const {
+  const size_t at = broadcast_ ? 0 : static_cast<size_t>(i);
+  return Visit(*this, [&](const auto* x) { return Box(x[at]); });
+}
+
+bool ExprColumn::TruthAt(int64_t i) const {
+  const size_t at = broadcast_ ? 0 : static_cast<size_t>(i);
+  return Visit(*this, [&](const auto* x) { return IsTrue(x[at]); });
+}
+
+std::vector<int64_t> ExprColumn::TrueRows() const {
+  std::vector<int64_t> rows;
+  if (broadcast_) {
+    if (rows_ > 0 && TruthAt(0)) {
+      rows.resize(static_cast<size_t>(rows_));
+      std::iota(rows.begin(), rows.end(), int64_t{0});
+    }
+    return rows;
+  }
+  Visit(*this, [&](const auto* x) {
+    // Count first, so the list is allocated once at its final size.
+    size_t count = 0;
+    for (int64_t i = 0; i < rows_; ++i) count += IsTrue(x[i]) ? 1 : 0;
+    rows.reserve(count);
+    for (int64_t i = 0; i < rows_; ++i) {
+      if (IsTrue(x[i])) rows.push_back(i);
+    }
+  });
+  return rows;
+}
+
+BatPtr ExprColumn::ToBat() && {
+  return Visit(*this, [&](const auto* x) -> BatPtr {
+    using T = ElementOf<decltype(x)>;
+    using Out = std::conditional_t<std::is_same_v<T, Mask>, int64_t, T>;
+    std::vector<Out> out;
+    if (broadcast_) {
+      out.assign(static_cast<size_t>(rows_), Out{x[0]});
+    } else if constexpr (std::is_same_v<T, Out>) {
+      out = ReleaseStorage<T>(static_cast<size_t>(rows_));
+      if (out.empty()) out.assign(x, x + rows_);
+    } else {
+      out.assign(x, x + rows_);
+    }
+    return std::make_shared<TypedBat<Out>>(std::move(out));
+  });
+}
+
+ExprColumn BoundExpr::Evaluate(const Relation& r) const {
+  switch (kind_) {
+    case Expr::Kind::kColumn: {
+      const BatPtr& bat = r.column(column_index_);
+      if (type_ == DataType::kInt64) return ReadColumn<int64_t>(bat);
+      if (type_ == DataType::kDouble) return ReadColumn<double>(bat);
+      return ReadColumn<std::string>(bat);
+    }
+    case Expr::Kind::kLiteral:
+      return ExprColumn::Broadcast(literal_, r.num_rows());
+    case Expr::Kind::kUnary:
+      return EvalUnary(op_, children_[0].Evaluate(r));
     case Expr::Kind::kBinary: {
-      if (op_ == "AND") {
-        return Value(static_cast<int64_t>(children_[0].EvalBool(r, row) &&
-                                          children_[1].EvalBool(r, row)));
-      }
-      if (op_ == "OR") {
-        return Value(static_cast<int64_t>(children_[0].EvalBool(r, row) ||
-                                          children_[1].EvalBool(r, row)));
-      }
-      const Value lv = children_[0].Eval(r, row);
-      const Value rv = children_[1].Eval(r, row);
-      if (op_ == "=" || op_ == "==") {
-        return Value(static_cast<int64_t>(ValueEquals(lv, rv)));
-      }
-      if (op_ == "<>" || op_ == "!=") {
-        return Value(static_cast<int64_t>(!ValueEquals(lv, rv)));
-      }
-      if (op_ == "<") return Value(static_cast<int64_t>(ValueLess(lv, rv)));
-      if (op_ == ">") return Value(static_cast<int64_t>(ValueLess(rv, lv)));
-      if (op_ == "<=") return Value(static_cast<int64_t>(!ValueLess(rv, lv)));
-      if (op_ == ">=") return Value(static_cast<int64_t>(!ValueLess(lv, rv)));
-      // Arithmetic.
-      if (type_ == DataType::kInt64) {
-        const int64_t a = std::get<int64_t>(lv);
-        const int64_t b = std::get<int64_t>(rv);
-        if (op_ == "+") return Value(a + b);
-        if (op_ == "-") return Value(a - b);
-        if (op_ == "*") return Value(a * b);
-        if (op_ == "%") return Value(b == 0 ? int64_t{0} : a % b);
-      }
-      const double a = ValueToDouble(lv);
-      const double b = ValueToDouble(rv);
-      if (op_ == "+") return Value(a + b);
-      if (op_ == "-") return Value(a - b);
-      if (op_ == "*") return Value(a * b);
-      if (op_ == "/") return Value(b == 0.0 ? 0.0 : a / b);
-      if (op_ == "%") return Value(b == 0.0 ? 0.0 : std::fmod(a, b));
-      RMA_CHECK(false && "unknown binary op at eval");
-      return Value(int64_t{0});
+      ExprColumn a = children_[0].Evaluate(r);
+      return EvalBinary(op_, std::move(a), children_[1].Evaluate(r));
     }
     case Expr::Kind::kCall: {
-      const double a = children_[0].EvalDouble(r, row);
-      if (op_ == "SQRT") return Value(std::sqrt(a));
-      if (op_ == "ABS") return Value(std::fabs(a));
-      if (op_ == "LN") return Value(std::log(a));
-      if (op_ == "EXP") return Value(std::exp(a));
-      if (op_ == "POW") return Value(std::pow(a, children_[1].EvalDouble(r, row)));
-      RMA_CHECK(false && "unknown function at eval");
-      return Value(0.0);
+      ExprColumn a = children_[0].Evaluate(r);
+      if (op_ != ExprOp::kPow) return EvalFunction(op_, std::move(a));
+      return EvalPow(std::move(a), children_[1].Evaluate(r));
     }
   }
   RMA_CHECK(false && "unreachable kind at eval");
-  return Value(int64_t{0});
-}
-
-bool BoundExpr::EvalBool(const Relation& r, int64_t row) const {
-  const Value v = Eval(r, row);
-  if (ValueType(v) == DataType::kString) {
-    return !std::get<std::string>(v).empty();
-  }
-  return ValueToDouble(v) != 0.0;
+  return ExprColumn::Broadcast(Value(int64_t{0}), r.num_rows());
 }
 
 }  // namespace rma::rel

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "storage/relation.h"
@@ -64,8 +65,137 @@ class Expr {
   std::vector<ExprPtr> children_;
 };
 
-/// An expression compiled against a schema: column indices resolved and the
-/// result type inferred. Booleans are int64 0/1.
+/// The value of an expression over every row of a relation, held as one
+/// typed column: int64, double or string values per `type()`. Booleans are
+/// int64 0/1 by type; comparisons and logic store them as one byte per row
+/// (`is_mask()`, element type uint8_t), which keeps a predicate's
+/// intermediates an eighth of the size. A column that does not depend on
+/// the row (an expression over literals only) stores a single value
+/// broadcast to all `size()` rows.
+///
+/// Values may be viewed in place from a malloc-backed input column; the
+/// column then keeps that BAT alive. Move-only.
+class ExprColumn {
+ public:
+  ExprColumn(ExprColumn&&) = default;
+  ExprColumn& operator=(ExprColumn&&) = default;
+  ExprColumn(const ExprColumn&) = delete;
+  ExprColumn& operator=(const ExprColumn&) = delete;
+
+  /// Owns `values` (int64_t, double, std::string, or uint8_t for a mask):
+  /// one value per row, or a single broadcast value.
+  template <typename T>
+  static ExprColumn Owned(std::vector<T> values, int64_t rows, bool broadcast);
+  /// Views `rows` values of `source` starting at `data`.
+  template <typename T>
+  static ExprColumn View(BatPtr source, const T* data, int64_t rows);
+  /// `v` broadcast to `rows` rows.
+  static ExprColumn Broadcast(const Value& v, int64_t rows);
+
+  DataType type() const { return type_; }
+  int64_t size() const { return rows_; }
+  bool broadcast() const { return broadcast_; }
+  bool is_mask() const { return mask_; }
+
+  /// The stored values: `size()` of them, or one when broadcast. `T` must
+  /// be the element type: uint8_t for a mask, else int64_t, double or
+  /// std::string per `type()`.
+  template <typename T>
+  const T* data() const {
+    return static_cast<const T*>(data_);
+  }
+
+  /// Moves out the owned values when they are `n` elements of type `T`, so
+  /// an elementwise kernel can write its result over its input; else an
+  /// empty vector. Pointers from data() stay valid, into the moved vector.
+  template <typename T>
+  std::vector<T> ReleaseStorage(size_t n) {
+    std::vector<T>& slot = Slot<T>();
+    if (source_ != nullptr || slot.size() != n || slot.data() != data_) {
+      return {};
+    }
+    return std::move(slot);
+  }
+
+  /// Boxed value of row `i` (tests and diagnostics).
+  Value ValueAt(int64_t i) const;
+  /// Row `i` as a double; strings yield 0.0, as ValueToDouble does.
+  double DoubleAt(int64_t i) const { return ValueToDouble(ValueAt(i)); }
+  /// Truth of row `i`: numerics are true when non-zero (NaN included),
+  /// strings when non-empty.
+  bool TruthAt(int64_t i) const;
+
+  /// Positions of the true rows, ascending (σ's candidate list).
+  std::vector<int64_t> TrueRows() const;
+
+  /// A BAT of `size()` rows holding these values (a mask becomes int64);
+  /// owned values move into it, views and broadcast values are copied.
+  BatPtr ToBat() &&;
+
+ private:
+  ExprColumn(DataType type, int64_t rows, bool broadcast)
+      : type_(type), rows_(rows), broadcast_(broadcast) {}
+
+  template <typename T>
+  std::vector<T>& Slot() {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return ints_;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return doubles_;
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      return masks_;
+    } else {
+      return strings_;
+    }
+  }
+
+  DataType type_;
+  int64_t rows_;
+  bool broadcast_;
+  bool mask_ = false;
+  const void* data_ = nullptr;  // into one of the vectors below, or source_
+  BatPtr source_;
+  std::vector<int64_t> ints_;
+  std::vector<double> doubles_;
+  std::vector<std::string> strings_;
+  std::vector<uint8_t> masks_;
+};
+
+/// Operators and functions, resolved from their names at Bind.
+enum class ExprOp {
+  kNone,  // column references and literals
+  kAdd,
+  kSub,
+  kMul,
+  kDiv,
+  kMod,
+  kLt,
+  kLe,
+  kGt,
+  kGe,
+  kEq,
+  kNe,
+  kAnd,
+  kOr,
+  kNeg,
+  kNot,
+  kSqrt,
+  kAbs,
+  kLn,
+  kExp,
+  kPow,
+};
+
+/// An expression compiled against a schema: column indices and operators
+/// resolved, the result type inferred. Booleans are int64 0/1.
+///
+/// Evaluation is column-at-a-time: every node produces an ExprColumn over
+/// all rows, and a node's child columns are released (or reused as its
+/// output) once it has consumed them. Semantics match the scalar Value
+/// helpers: numeric comparisons go through double (ValueLess/ValueEquals),
+/// numerics order before strings, integer + - * % stay int64 with
+/// x % 0 = 0, / is double with x / 0 = 0, and strings are true when
+/// non-empty.
 class BoundExpr {
  public:
   DataType type() const { return type_; }
@@ -74,16 +204,8 @@ class BoundExpr {
   int column_index() const { return column_index_; }
   bool is_column() const { return kind_ == Expr::Kind::kColumn; }
 
-  /// Evaluates on row `row` of `r` (which must match the bound schema).
-  Value Eval(const Relation& r, int64_t row) const;
-
-  /// Evaluates to a double (numeric expressions on hot-ish paths).
-  double EvalDouble(const Relation& r, int64_t row) const {
-    return ValueToDouble(Eval(r, row));
-  }
-
-  /// True iff the value is numeric non-zero (predicate evaluation).
-  bool EvalBool(const Relation& r, int64_t row) const;
+  /// Evaluates over every row of `r` (which must match the bound schema).
+  ExprColumn Evaluate(const Relation& r) const;
 
  private:
   friend Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema);
@@ -92,7 +214,7 @@ class BoundExpr {
   DataType type_ = DataType::kInt64;
   int column_index_ = -1;
   Value literal_ = Value(int64_t{0});
-  std::string op_;
+  ExprOp op_ = ExprOp::kNone;
   std::vector<BoundExpr> children_;
 };
 

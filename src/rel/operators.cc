@@ -28,12 +28,7 @@ std::vector<T> ConcatColumn(const Relation& a, const Relation& b, int c) {
 
 Result<Relation> Select(const Relation& r, const ExprPtr& predicate) {
   RMA_ASSIGN_OR_RETURN(BoundExpr pred, Bind(predicate, r.schema()));
-  std::vector<int64_t> keep;
-  const int64_t n = r.num_rows();
-  for (int64_t i = 0; i < n; ++i) {
-    if (pred.EvalBool(r, i)) keep.push_back(i);
-  }
-  return r.TakeRows(keep);
+  return r.TakeRows(pred.Evaluate(r).TrueRows());
 }
 
 Result<Relation> ProjectNames(const Relation& r,
@@ -54,41 +49,13 @@ Result<Relation> Project(const Relation& r,
     bound.push_back(std::move(be));
   }
   RMA_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
-  const int64_t n = r.num_rows();
   std::vector<BatPtr> cols;
   cols.reserve(items.size());
-  for (size_t c = 0; c < bound.size(); ++c) {
-    // Fast path: a bare column reference shares the BAT.
-    if (bound[c].is_column()) {
-      cols.push_back(r.column(bound[c].column_index()));
-      continue;
-    }
-    switch (schema.attribute(static_cast<int>(c)).type) {
-      case DataType::kInt64: {
-        std::vector<int64_t> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = std::get<int64_t>(bound[c].Eval(r, i));
-        }
-        cols.push_back(MakeInt64Bat(std::move(v)));
-        break;
-      }
-      case DataType::kDouble: {
-        std::vector<double> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = bound[c].EvalDouble(r, i);
-        }
-        cols.push_back(MakeDoubleBat(std::move(v)));
-        break;
-      }
-      case DataType::kString: {
-        std::vector<std::string> v(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          v[static_cast<size_t>(i)] = ValueToString(bound[c].Eval(r, i));
-        }
-        cols.push_back(MakeStringBat(std::move(v)));
-        break;
-      }
-    }
+  for (const BoundExpr& be : bound) {
+    // A bare column reference shares the BAT; anything else is computed a
+    // column at a time, one item after another.
+    cols.push_back(be.is_column() ? r.column(be.column_index())
+                                  : be.Evaluate(r).ToBat());
   }
   return Relation::Make(std::move(schema), std::move(cols), r.name());
 }

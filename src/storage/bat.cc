@@ -121,10 +121,8 @@ std::vector<double> ToDoubleVector(const Bat& bat) {
     return std::vector<double>(d, d + n);
   }
   std::vector<double> out(static_cast<size_t>(n));
-  if (const auto* i64 = dynamic_cast<const Int64Bat*>(&bat)) {
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = static_cast<double>(i64->at(i));
-    }
+  if (const int64_t* v = bat.ContiguousInt64Data()) {
+    for (int64_t i = 0; i < n; ++i) out[i] = static_cast<double>(v[i]);
     return out;
   }
   for (int64_t i = 0; i < n; ++i) out[i] = bat.GetDouble(i);
@@ -138,8 +136,7 @@ std::vector<double> GatherDoubleVector(const Bat& bat,
     for (size_t i = 0; i < perm.size(); ++i) out[i] = v[perm[i]];
     return out;
   }
-  if (const auto* i64 = dynamic_cast<const Int64Bat*>(&bat)) {
-    const auto& v = i64->data();
+  if (const int64_t* v = bat.ContiguousInt64Data()) {
     for (size_t i = 0; i < perm.size(); ++i) {
       out[i] = static_cast<double>(v[perm[i]]);
     }

@@ -61,6 +61,11 @@ class Bat {
   /// pinned; see PinData/StableData below.
   virtual const double* ContiguousDoubleData() const { return nullptr; }
 
+  /// The int64 twin of ContiguousDoubleData: raw pointer to `size()`
+  /// contiguous int64 values (dense int64 columns; paged ones while
+  /// pinned), else nullptr.
+  virtual const int64_t* ContiguousInt64Data() const { return nullptr; }
+
   /// Residency bracket for out-of-core columns. PinData guarantees that
   /// until the matching UnpinData, ContiguousDoubleData() (if the column is
   /// dense double) returns a pointer that stays valid. Pins nest. Malloc-
@@ -137,6 +142,14 @@ class TypedBat final : public Bat {
 
   const double* ContiguousDoubleData() const override {
     if constexpr (std::is_same_v<T, double>) {
+      return data_.data();
+    } else {
+      return nullptr;
+    }
+  }
+
+  const int64_t* ContiguousInt64Data() const override {
+    if constexpr (std::is_same_v<T, int64_t>) {
       return data_.data();
     } else {
       return nullptr;

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
+#include <numeric>
 
 #include "util/string_util.h"
 
@@ -56,10 +56,24 @@ void PagedBat<T>::UnpinData() const {
 }
 
 template <typename T>
+const T* PagedBat<T>::PinnedValues() const {
+  MutexLock lock(mu_);
+  return pins_ > 0 ? ValuesLocked() : nullptr;
+}
+
+template <typename T>
 const double* PagedBat<T>::ContiguousDoubleData() const {
   if constexpr (std::is_same_v<T, double>) {
-    MutexLock lock(mu_);
-    return pins_ > 0 ? ValuesLocked() : nullptr;
+    return PinnedValues();
+  } else {
+    return nullptr;
+  }
+}
+
+template <typename T>
+const int64_t* PagedBat<T>::ContiguousInt64Data() const {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return PinnedValues();
   } else {
     return nullptr;
   }
@@ -176,25 +190,14 @@ Result<Relation> MaterializeUnstable(const Relation& r) {
     RMA_RETURN_NOT_OK(col->PinData());
     const int64_t n = col->size();
     BatPtr copy;
-    if (col->type() == DataType::kDouble) {
-      const double* d = col->ContiguousDoubleData();
-      std::vector<double> v(static_cast<size_t>(n));
-      if (d != nullptr) {
-        std::memcpy(v.data(), d, static_cast<size_t>(n) * sizeof(double));
-      } else {
-        for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = col->GetDouble(i);
-      }
-      copy = MakeDoubleBat(std::move(v));
-    } else if (col->type() == DataType::kInt64) {
-      std::vector<int64_t> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        v[static_cast<size_t>(i)] = std::get<int64_t>(col->GetValue(i));
-      }
-      copy = MakeInt64Bat(std::move(v));
+    if (const double* d = col->ContiguousDoubleData()) {
+      copy = MakeDoubleBat(std::vector<double>(d, d + n));
+    } else if (const int64_t* v = col->ContiguousInt64Data()) {
+      copy = MakeInt64Bat(std::vector<int64_t>(v, v + n));
     } else {
-      std::vector<std::string> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = col->GetString(i);
-      copy = MakeStringBat(std::move(v));
+      std::vector<int64_t> all(static_cast<size_t>(n));
+      std::iota(all.begin(), all.end(), int64_t{0});
+      copy = col->Take(all);
     }
     col->UnpinData();
     cols.push_back(std::move(copy));

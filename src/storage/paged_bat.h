@@ -23,7 +23,7 @@ namespace rma {
 /// work unchanged on pinned paged columns), and `StableData() == false`
 /// tells slice views and caches that the pointer dies with the pin.
 ///
-/// Per-element virtual accessors pin transiently, so row-at-a-time layers
+/// Per-element virtual accessors pin transiently, so per-element readers
 /// remain correct without brackets — but the intended use is the staged
 /// executor's relation-level bracket (core/dispatch.cc) and bind-time
 /// materialization in the SQL layer, where pin failures (torn pages) can
@@ -49,6 +49,7 @@ class PagedBat final : public Bat {
   void UnpinData() const override;
   bool StableData() const override { return false; }
   const double* ContiguousDoubleData() const override;
+  const int64_t* ContiguousInt64Data() const override;
 
   Value GetValue(int64_t i) const override { return Value(ValueAt(i)); }
   double GetDouble(int64_t i) const override {
@@ -65,6 +66,11 @@ class PagedBat final : public Bat {
   }
 
  private:
+  /// The typed tail while pinned (between PinData and UnpinData), else
+  /// nullptr; both contiguous-data probes answer through it. The pointer
+  /// dies with the last pin.
+  const T* PinnedValues() const;
+
   /// Reads one element, pinning transiently when no bracket pin is active.
   /// I/O failure here (corrupt page outside any Status-bearing seam) warns
   /// once and yields 0 — the seams (PinColumns / MaterializeUnstable)
@@ -110,10 +116,11 @@ class PinnedRelations {
 
 /// Returns `r` unchanged when every column's data pointers are stable
 /// (malloc-backed); otherwise a malloc-backed copy of the unstable columns
-/// (same schema and name, fresh identity). The SQL layer calls this at
-/// table-bind time so the row-at-a-time relational operators and streamed
-/// results only ever touch resident data, and torn-page checksum failures
-/// become statement errors instead of accessor-level surprises.
+/// (same schema and name, fresh identity), copied in bulk from the pinned
+/// extents. The SQL layer calls this at table-bind time so the relational
+/// operators and streamed results only ever touch resident data, and
+/// torn-page checksum failures become statement errors instead of
+/// accessor-level surprises.
 Result<Relation> MaterializeUnstable(const Relation& r);
 
 }  // namespace rma

@@ -13,7 +13,10 @@ namespace rma {
 
 namespace {
 
-constexpr uint64_t kFormatVersion = 1;
+// Version 2 checksums data pages with PageChecksum (version 1 used the
+// byte-serial StorageChecksum); the header checksum is unchanged, so a
+// version 1 file opens far enough to be refused by its version.
+constexpr uint64_t kFormatVersion = 2;
 constexpr size_t kHeaderFields = 4;  // magic, version, page_bytes, page_count
 constexpr size_t kHeaderBytes = (kHeaderFields + 1) * sizeof(uint64_t);
 
@@ -54,6 +57,73 @@ Status FullPwrite(int fd, const void* buf, size_t n, int64_t off,
     off += r;
   }
   return Status::OK();
+}
+
+// XXH64's primes.
+constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+
+uint64_t Rotl(uint64_t v, int r) { return (v << r) | (v >> (64 - r)); }
+
+uint64_t LoadWord(const unsigned char* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+uint64_t Round(uint64_t acc, uint64_t word) {
+  return Rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+// Folds one word into the running hash.
+uint64_t Fold(uint64_t h, uint64_t word) {
+  return Rotl(h ^ Round(0, word), 27) * kPrime1 + kPrime4;
+}
+
+/// Data-page checksum: an XXH64-style hash over 8-byte words, portable
+/// (memcpy loads, no intrinsics) and about an order of magnitude faster
+/// than byte-serial FNV-1a. Four independent multiply-rotate lanes take
+/// 32-byte stripes; leftover words, then the zero-padded tail bytes, fold
+/// into the merged hash, which a final avalanche mixes.
+///
+/// Every step is a bijection of the state given the word it consumes (an
+/// odd multiply, an add, a rotate, an xor), and a bijection of the word
+/// given the state; lanes merge by a sum, the avalanche is invertible. So
+/// the map from any one 8-byte word (or the tail) to the checksum, all
+/// other bytes fixed, is a bijection: a change confined to one word is
+/// always detected, not merely with high probability.
+uint64_t PageChecksum(const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + n;
+  uint64_t h = kPrime3;
+  if (n >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2;
+    uint64_t v2 = kPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, LoadWord(p));
+      v2 = Round(v2, LoadWord(p + 8));
+      v3 = Round(v3, LoadWord(p + 16));
+      v4 = Round(v4, LoadWord(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+  }
+  h += n;
+  for (; end - p >= 8; p += 8) h = Fold(h, LoadWord(p));
+  if (p < end) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, static_cast<size_t>(end - p));
+    h = Fold(h, tail);
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
 }
 
 uint64_t NextPagerId() {
@@ -128,8 +198,9 @@ Result<std::shared_ptr<Pager>> Pager::Open(const std::string& path) {
   }
   if (header[1] != kFormatVersion) {
     ::close(fd);
-    return Status::IoError("open " + path + ": unsupported format version " +
-                           std::to_string(header[1]));
+    return Status::NotImplemented("open " + path +
+                                  ": unsupported format version " +
+                                  std::to_string(header[1]));
   }
   const auto page_bytes = static_cast<int64_t>(header[2]);
   if (page_bytes < kMinPageBytes) {
@@ -191,8 +262,8 @@ Status Pager::ReadPage(uint64_t page, void* payload) const {
   uint64_t stored_id = 0;
   std::memcpy(&stored_sum, buf.data(), sizeof(uint64_t));
   std::memcpy(&stored_id, buf.data() + sizeof(uint64_t), sizeof(uint64_t));
-  const uint64_t sum = StorageChecksum(buf.data() + sizeof(uint64_t),
-                                       buf.size() - sizeof(uint64_t));
+  const uint64_t sum = PageChecksum(buf.data() + sizeof(uint64_t),
+                                    buf.size() - sizeof(uint64_t));
   if (stored_sum != sum || stored_id != page) {
     return Status::IoError("read " + path_ + ": page " + std::to_string(page) +
                            " checksum mismatch (torn or misdirected write)");
@@ -216,8 +287,8 @@ Status Pager::WritePage(uint64_t page, const void* payload) {
   std::memcpy(buf.data() + sizeof(uint64_t), &id, sizeof(uint64_t));
   std::memcpy(buf.data() + kPageHeaderBytes, payload,
               static_cast<size_t>(payload_bytes()));
-  const uint64_t sum = StorageChecksum(buf.data() + sizeof(uint64_t),
-                                       buf.size() - sizeof(uint64_t));
+  const uint64_t sum = PageChecksum(buf.data() + sizeof(uint64_t),
+                                    buf.size() - sizeof(uint64_t));
   std::memcpy(buf.data(), &sum, sizeof(uint64_t));
   return FullPwrite(fd_, buf.data(), buf.size(),
                     static_cast<int64_t>(page) * page_bytes_, path_);

@@ -11,10 +11,11 @@
 
 namespace rma {
 
-/// FNV-1a 64-bit hash, seeded. The storage tier's checksum primitive: cheap,
-/// endian-stable for our fixed little-endian on-disk integers, and good
-/// enough to detect torn writes (the threat model is a crash mid-write, not
-/// an adversary).
+/// FNV-1a 64-bit hash, seeded. Checksums the small records of the storage
+/// tier (page-file header, MANIFEST, rma_load fingerprints): endian-stable
+/// for our fixed little-endian on-disk integers, and good enough to detect
+/// torn writes (the threat model is a crash mid-write, not an adversary).
+/// Data pages use a word-wide hash instead (Pager, format version 2).
 uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed = 0);
 
 /// A fixed-size-page column file.
@@ -30,7 +31,9 @@ uint64_t StorageChecksum(const void* data, size_t n, uint64_t seed = 0);
 ///   page 1..N      data pages: [u64 checksum][u64 page id][payload]. The
 ///                   checksum covers the page id and the payload, so a page
 ///                   written for one slot can never be mistaken for another
-///                   (detects misdirected writes as well as torn ones).
+///                   (detects misdirected writes as well as torn ones). It
+///                   is a word-wide XXH64-style hash that detects every
+///                   change confined to one 8-byte word.
 ///
 /// Pages are allocated in contiguous *extents* (one extent per column tail)
 /// so a pinned column is one contiguous buffer-pool frame and the SIMD fast
@@ -52,7 +55,8 @@ class Pager {
                                                int64_t page_bytes);
 
   /// Opens an existing page file, verifying the header checksum, magic and
-  /// format version. Data-page checksums are verified lazily on ReadPage.
+  /// format version (another version is NotImplemented, naming it). Data-page
+  /// checksums are verified lazily on ReadPage.
   static Result<std::shared_ptr<Pager>> Open(const std::string& path);
 
   ~Pager();

@@ -1,14 +1,28 @@
 // Relational algebra operators and the expression layer.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rel/expression.h"
 #include "rel/operators.h"
+#include "storage/paged_bat.h"
+#include "storage/paged_store.h"
+#include "storage/sparse_bat.h"
 #include "test_util.h"
 
 namespace rma {
 namespace {
 
 using rel::Expr;
+using rel::ExprPtr;
 using testing::MakeRelation;
 
 Relation People() {
@@ -31,7 +45,7 @@ TEST(Expression, ArithmeticAndTypes) {
                               Expr::LiteralInt(2));
   const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
   EXPECT_EQ(be.type(), DataType::kDouble);
-  EXPECT_EQ(be.EvalDouble(r, 0), 200.0);
+  EXPECT_EQ(be.Evaluate(r).DoubleAt(0), 200.0);
   // Integer arithmetic stays integral except division.
   const auto ie = Expr::Binary("+", Expr::Column("age"), Expr::LiteralInt(1));
   EXPECT_EQ(Bind(ie, r.schema()).ValueOrDie().type(), DataType::kInt64);
@@ -46,20 +60,23 @@ TEST(Expression, ComparisonsAndLogic) {
       Expr::Binary(">", Expr::Column("age"), Expr::LiteralInt(28)),
       Expr::Binary("=", Expr::Column("dept"), Expr::LiteralString("db")));
   const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
-  EXPECT_TRUE(be.EvalBool(r, 0));   // ann: 30, db
-  EXPECT_FALSE(be.EvalBool(r, 1));  // bob: ml
-  EXPECT_FALSE(be.EvalBool(r, 2));  // cat: 25
+  const rel::ExprColumn c = be.Evaluate(r);
+  EXPECT_TRUE(c.TruthAt(0));   // ann: 30, db
+  EXPECT_FALSE(c.TruthAt(1));  // bob: ml
+  EXPECT_FALSE(c.TruthAt(2));  // cat: 25
   const auto ne = Expr::Unary("NOT", e);
-  EXPECT_FALSE(Bind(ne, r.schema()).ValueOrDie().EvalBool(r, 0));
+  EXPECT_FALSE(Bind(ne, r.schema()).ValueOrDie().Evaluate(r).TruthAt(0));
 }
 
 TEST(Expression, Functions) {
   const Relation r = People();
   const auto e = Expr::Call("SQRT", {Expr::Column("salary")});
-  EXPECT_NEAR(Bind(e, r.schema()).ValueOrDie().EvalDouble(r, 0), 10.0, 1e-12);
+  EXPECT_NEAR(Bind(e, r.schema()).ValueOrDie().Evaluate(r).DoubleAt(0), 10.0,
+              1e-12);
   const auto p = Expr::Call(
       "POW", {Expr::LiteralDouble(2.0), Expr::LiteralDouble(10.0)});
-  EXPECT_NEAR(Bind(p, r.schema()).ValueOrDie().EvalDouble(r, 0), 1024.0, 1e-12);
+  EXPECT_NEAR(Bind(p, r.schema()).ValueOrDie().Evaluate(r).DoubleAt(0),
+              1024.0, 1e-12);
 }
 
 TEST(Expression, BindErrors) {
@@ -78,8 +95,328 @@ TEST(Expression, BindErrors) {
 TEST(Expression, PositionalColumnRefs) {
   const Relation r = People();
   const rel::BoundExpr be = Bind(Expr::ColumnAt(2), r.schema()).ValueOrDie();
-  EXPECT_EQ(be.EvalDouble(r, 1), 40.0);
+  EXPECT_EQ(be.Evaluate(r).DoubleAt(1), 40.0);
   EXPECT_STATUS(kKeyError, Bind(Expr::ColumnAt(9), r.schema()));
+}
+
+// --- the column evaluator over every column representation -------------------
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Columns i (INT), d (DOUBLE), s (STRING). d holds a NaN and zeros, so a
+/// sparse copy stores only some of its rows; i holds 2^53 + 1, which has no
+/// exact double.
+const std::vector<int64_t> kI = {0, 3, -7, kTwo53 + 1, 5};
+const std::vector<double> kD = {0.0, kNaN, 2.5, -1.0, 0.0};
+const std::vector<std::string> kS = {"", "a", "b", "abc", "0"};
+
+Relation Make3(BatPtr i, BatPtr d, BatPtr s) {
+  return Relation::Make(Schema::Make({{"i", DataType::kInt64},
+                                      {"d", DataType::kDouble},
+                                      {"s", DataType::kString}})
+                            .ValueOrDie(),
+                        {std::move(i), std::move(d), std::move(s)})
+      .ValueOrDie();
+}
+
+/// A fresh directory under /tmp, removed with everything in it when the
+/// owner goes out of scope.
+struct TempDirectory {
+  TempDirectory() {
+    char tmpl[] = "/tmp/rma_operators_test_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    path = dir != nullptr ? dir : "";
+  }
+  ~TempDirectory() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  std::string path;
+};
+
+/// The kI/kD/kS rows in every representation the evaluator reads: malloc
+/// TypedBats, a DoubleSliceBat view, a SparseDoubleBat, and out-of-core
+/// PagedBats, pinned for the fixture's lifetime.
+class Representations : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const Relation typed =
+        Make3(MakeInt64Bat(kI), MakeDoubleBat(kD), MakeStringBat(kS));
+    variants_.emplace_back("typed", typed);
+
+    std::vector<double> padded = {42.0};
+    padded.insert(padded.end(), kD.begin(), kD.end());
+    const BatPtr owner = MakeDoubleBat(std::move(padded));
+    variants_.emplace_back(
+        "slice",
+        Make3(typed.column(0),
+              std::make_shared<DoubleSliceBat>(
+                  owner, owner->ContiguousDoubleData() + 1,
+                  static_cast<int64_t>(kD.size())),
+              typed.column(2)));
+
+    variants_.emplace_back(
+        "sparse", Make3(typed.column(0), SparseDoubleBat::FromDense(kD),
+                        typed.column(2)));
+
+    store_ = PagedStore::Open(dir_.path).ValueOrDie();
+    const Relation paged = store_->SaveTable("t", typed).ValueOrDie();
+    EXPECT_FALSE(paged.column(0)->StableData());
+    EXPECT_FALSE(paged.column(1)->StableData());
+    pins_.Pin(paged).Abort();
+    variants_.emplace_back("paged", paged);
+  }
+
+  /// Evaluates `e` on every representation and expects `want` row by row
+  /// (NaN matches NaN), with the bound type and the relation's row count.
+  void ExpectEverywhere(const ExprPtr& e, const std::vector<Value>& want) {
+    for (const auto& [name, r] : variants_) {
+      SCOPED_TRACE(name + ": " + e->ToString());
+      const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
+      const rel::ExprColumn c = be.Evaluate(r);
+      EXPECT_EQ(c.type(), be.type());
+      ASSERT_EQ(c.size(), r.num_rows());
+      ASSERT_EQ(want.size(), static_cast<size_t>(r.num_rows()));
+      for (int64_t row = 0; row < c.size(); ++row) {
+        EXPECT_TRUE(SameValue(c.ValueAt(row), want[static_cast<size_t>(row)]))
+            << "row " << row << ": got " << ValueToString(c.ValueAt(row))
+            << ", want " << ValueToString(want[static_cast<size_t>(row)]);
+      }
+    }
+  }
+
+  static bool SameValue(const Value& a, const Value& b) {
+    if (a.index() != b.index()) return false;
+    if (a.index() == 1 && std::isnan(std::get<double>(a))) {
+      return std::isnan(std::get<double>(b));
+    }
+    return a == b;
+  }
+
+  TempDirectory dir_;  // first, so it is removed after everything in it closes
+  std::vector<std::pair<std::string, Relation>> variants_;
+  std::shared_ptr<PagedStore> store_;
+  PinnedRelations pins_;
+};
+
+std::vector<Value> Ints(std::vector<int64_t> v) {
+  return std::vector<Value>(v.begin(), v.end());
+}
+std::vector<Value> Doubles(std::vector<double> v) {
+  return std::vector<Value>(v.begin(), v.end());
+}
+
+TEST_F(Representations, ColumnsReadBack) {
+  ExpectEverywhere(Expr::Column("i"), Ints(kI));
+  ExpectEverywhere(Expr::Column("d"), Doubles(kD));
+  ExpectEverywhere(Expr::Column("s"),
+                   std::vector<Value>(kS.begin(), kS.end()));
+}
+
+TEST_F(Representations, NaNUnderEveryComparison) {
+  // Row 1 is NaN: only the negated forms (<=, >=, <>) are true there.
+  const auto cmp = [](const char* op) {
+    return Expr::Binary(op, Expr::Column("d"), Expr::LiteralDouble(1.0));
+  };
+  ExpectEverywhere(cmp("<"), Ints({1, 0, 0, 1, 1}));
+  ExpectEverywhere(cmp("<="), Ints({1, 1, 0, 1, 1}));
+  ExpectEverywhere(cmp(">"), Ints({0, 0, 1, 0, 0}));
+  ExpectEverywhere(cmp(">="), Ints({0, 1, 1, 0, 0}));
+  ExpectEverywhere(cmp("="), Ints({0, 0, 0, 0, 0}));
+  ExpectEverywhere(cmp("<>"), Ints({1, 1, 1, 1, 1}));
+  ExpectEverywhere(cmp("=="), Ints({0, 0, 0, 0, 0}));
+  ExpectEverywhere(cmp("!="), Ints({1, 1, 1, 1, 1}));
+  // NaN is not equal to itself.
+  ExpectEverywhere(Expr::Binary("=", Expr::Column("d"), Expr::Column("d")),
+                   Ints({1, 0, 1, 1, 1}));
+}
+
+TEST_F(Representations, ComparisonsMatchTheValueOrder) {
+  // Every comparison of every column pair agrees with ValueLess and
+  // ValueEquals on the boxed cells.
+  const Relation& typed = variants_[0].second;
+  const char* const ops[] = {"<", "<=", ">", ">=", "=", "<>"};
+  for (const char* lhs : {"i", "d", "s"}) {
+    for (const char* rhs : {"i", "d", "s"}) {
+      for (const char* op : ops) {
+        std::vector<Value> want;
+        for (int64_t row = 0; row < typed.num_rows(); ++row) {
+          const Value a = typed.Get(row, typed.ColumnIndex(lhs).ValueOrDie());
+          const Value b = typed.Get(row, typed.ColumnIndex(rhs).ValueOrDie());
+          const std::string o = op;
+          const bool v = o == "<"    ? ValueLess(a, b)
+                         : o == "<=" ? !ValueLess(b, a)
+                         : o == ">"  ? ValueLess(b, a)
+                         : o == ">=" ? !ValueLess(a, b)
+                         : o == "="  ? ValueEquals(a, b)
+                                     : !ValueEquals(a, b);
+          want.emplace_back(int64_t{v});
+        }
+        ExpectEverywhere(
+            Expr::Binary(op, Expr::Column(lhs), Expr::Column(rhs)), want);
+      }
+    }
+  }
+}
+
+TEST_F(Representations, Int64AboveTwoTo53ComparesAsDouble) {
+  // 2^53 + 1 rounds to 2^53 as a double, so it compares equal to 2^53 ...
+  ExpectEverywhere(
+      Expr::Binary("=", Expr::Column("i"), Expr::LiteralInt(kTwo53)),
+      Ints({0, 0, 0, 1, 0}));
+  ExpectEverywhere(
+      Expr::Binary("<", Expr::LiteralInt(kTwo53), Expr::Column("i")),
+      Ints({0, 0, 0, 0, 0}));
+  // ... while integer arithmetic stays exact.
+  ExpectEverywhere(Expr::Binary("+", Expr::Column("i"), Expr::LiteralInt(1)),
+                   Ints({1, 4, -6, kTwo53 + 2, 6}));
+  ExpectEverywhere(Expr::Binary("-", Expr::Column("i"), Expr::Column("i")),
+                   Ints({0, 0, 0, 0, 0}));
+  ExpectEverywhere(Expr::Binary("*", Expr::Column("i"), Expr::LiteralInt(-2)),
+                   Ints({0, -6, 14, -2 * (kTwo53 + 1), -10}));
+}
+
+TEST_F(Representations, ModuloAndDivisionByZero) {
+  ExpectEverywhere(Expr::Binary("%", Expr::Column("i"), Expr::LiteralInt(0)),
+                   Ints({0, 0, 0, 0, 0}));
+  ExpectEverywhere(Expr::Binary("%", Expr::Column("i"), Expr::LiteralInt(2)),
+                   Ints({0, 1, -1, 1, 1}));
+  ExpectEverywhere(Expr::Binary("/", Expr::Column("i"), Expr::LiteralInt(0)),
+                   Doubles({0.0, 0.0, 0.0, 0.0, 0.0}));
+  ExpectEverywhere(Expr::Binary("/", Expr::Column("i"), Expr::LiteralInt(2)),
+                   Doubles({0.0, 1.5, -3.5, static_cast<double>(kTwo53) / 2,
+                            2.5}));
+  // Division and modulo by a zero column (d is 0 on rows 0 and 4).
+  ExpectEverywhere(Expr::Binary("/", Expr::LiteralDouble(1.0),
+                                Expr::Column("d")),
+                   Doubles({0.0, kNaN, 0.4, -1.0, 0.0}));
+  ExpectEverywhere(Expr::Binary("%", Expr::Column("i"), Expr::Column("d")),
+                   Doubles({0.0, kNaN, std::fmod(-7.0, 2.5), 0.0, 0.0}));
+}
+
+TEST_F(Representations, NotAndUnaryMinus) {
+  ExpectEverywhere(Expr::Unary("NOT", Expr::Column("i")),
+                   Ints({1, 0, 0, 0, 0}));
+  // NaN is true, so NOT NaN is false.
+  ExpectEverywhere(Expr::Unary("NOT", Expr::Column("d")),
+                   Ints({1, 0, 0, 0, 1}));
+  ExpectEverywhere(Expr::Unary("-", Expr::Column("i")),
+                   Ints({0, -3, 7, -(kTwo53 + 1), -5}));
+  ExpectEverywhere(Expr::Unary("-", Expr::Column("d")),
+                   Doubles({-0.0, kNaN, -2.5, 1.0, -0.0}));
+  ExpectEverywhere(Expr::Call("ABS", {Expr::Unary("-", Expr::Column("i"))}),
+                   Doubles({0.0, 3.0, 7.0, static_cast<double>(kTwo53), 5.0}));
+}
+
+TEST_F(Representations, StringTruthinessAndMixedOrdering) {
+  // Strings are true when non-empty ("0" included).
+  ExpectEverywhere(Expr::Unary("NOT", Expr::Column("s")),
+                   Ints({1, 0, 0, 0, 0}));
+  ExpectEverywhere(
+      Expr::Binary("AND", Expr::Column("s"), Expr::Column("i")),
+      Ints({0, 1, 1, 1, 1}));
+  ExpectEverywhere(Expr::Binary("OR", Expr::Column("s"), Expr::Column("d")),
+                   Ints({0, 1, 1, 1, 1}));
+  // Numerics order before strings and never equal one.
+  ExpectEverywhere(Expr::Binary("<", Expr::Column("i"), Expr::Column("s")),
+                   Ints({1, 1, 1, 1, 1}));
+  ExpectEverywhere(
+      Expr::Binary(">=", Expr::Column("s"), Expr::LiteralDouble(kNaN)),
+      Ints({1, 1, 1, 1, 1}));
+  ExpectEverywhere(
+      Expr::Binary("=", Expr::LiteralString("0"), Expr::LiteralInt(0)),
+      Ints({0, 0, 0, 0, 0}));
+  ExpectEverywhere(
+      Expr::Binary("<", Expr::Column("s"), Expr::LiteralString("ab")),
+      Ints({1, 1, 0, 0, 1}));
+}
+
+TEST_F(Representations, ConstantOnlyExpressions) {
+  const auto sum = Expr::Binary("+", Expr::LiteralInt(1), Expr::LiteralInt(2));
+  ExpectEverywhere(sum, Ints({3, 3, 3, 3, 3}));
+  ExpectEverywhere(Expr::Call("POW", {Expr::LiteralInt(2), Expr::LiteralInt(3)}),
+                   Doubles({8.0, 8.0, 8.0, 8.0, 8.0}));
+  for (const auto& [name, r] : variants_) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(Bind(sum, r.schema()).ValueOrDie().Evaluate(r).broadcast());
+    // A constant predicate keeps every row or none.
+    EXPECT_EQ(rel::Select(r, Expr::Binary(">", sum, Expr::LiteralInt(0)))
+                  .ValueOrDie()
+                  .num_rows(),
+              r.num_rows());
+    EXPECT_EQ(rel::Select(r, Expr::LiteralString("")).ValueOrDie().num_rows(),
+              0);
+    // A constant projection is broadcast to every row.
+    const Relation p =
+        rel::Project(r, {{Expr::LiteralString("k"), "k"}, {sum, "three"}})
+            .ValueOrDie();
+    ASSERT_EQ(p.num_rows(), r.num_rows());
+    EXPECT_EQ(ValueToString(p.Get(r.num_rows() - 1, 0)), "k");
+    EXPECT_EQ(std::get<int64_t>(p.Get(r.num_rows() - 1, 1)), 3);
+  }
+}
+
+TEST_F(Representations, SelectAndProjectAgree) {
+  // σ and π over each representation return the typed variant's answer.
+  const auto pred = Expr::Binary(
+      "OR", Expr::Binary(">=", Expr::Column("d"), Expr::LiteralInt(0)),
+      Expr::Binary("<", Expr::Column("i"), Expr::LiteralInt(0)));
+  const auto item = Expr::Binary("*", Expr::Column("i"), Expr::Column("d"));
+  const Relation want_sel = rel::Select(variants_[0].second, pred).ValueOrDie();
+  ASSERT_EQ(want_sel.num_rows(), 4);  // all but row 3; NaN >= 0 holds
+  for (const auto& [name, r] : variants_) {
+    SCOPED_TRACE(name);
+    const Relation sel = rel::Select(r, pred).ValueOrDie();
+    EXPECT_EQ(sel.num_rows(), want_sel.num_rows());
+    for (int64_t row = 0; row < sel.num_rows(); ++row) {
+      EXPECT_EQ(std::get<int64_t>(sel.Get(row, 0)),
+                std::get<int64_t>(want_sel.Get(row, 0)));
+    }
+    const Relation p = rel::Project(r, {{item, "x"}}).ValueOrDie();
+    EXPECT_EQ(p.schema().attribute(0).type, DataType::kDouble);
+    EXPECT_EQ(ValueToDouble(p.Get(2, 0)), -17.5);
+  }
+}
+
+TEST(Expression, ZeroRowRelations) {
+  const Relation empty = Make3(MakeInt64Bat({}), MakeDoubleBat({}),
+                               MakeStringBat({}));
+  const BatPtr owner = MakeDoubleBat({1.0});
+  const Relation slice =
+      Make3(MakeInt64Bat({}),
+            std::make_shared<DoubleSliceBat>(
+                owner, owner->ContiguousDoubleData(), int64_t{0}),
+            MakeStringBat({}));
+  const Relation sparse = Make3(MakeInt64Bat({}), SparseDoubleBat::FromDense({}),
+                                MakeStringBat({}));
+  const TempDirectory dir;
+  const auto store = PagedStore::Open(dir.path).ValueOrDie();
+  const Relation paged = store->SaveTable("t", empty).ValueOrDie();
+  PinnedRelations pins;
+  ASSERT_OK(pins.Pin(paged));
+  const std::vector<ExprPtr> exprs = {
+      Expr::Binary("+", Expr::Column("i"), Expr::LiteralInt(1)),
+      Expr::Binary("+", Expr::LiteralInt(1), Expr::LiteralInt(2)),
+      Expr::Binary(">", Expr::Column("d"), Expr::LiteralInt(0)),
+      Expr::Binary("AND", Expr::Column("s"), Expr::Column("d")),
+      Expr::Unary("-", Expr::Column("d")),
+      Expr::Call("SQRT", {Expr::Column("i")})};
+  for (const Relation& r : {empty, slice, sparse, paged}) {
+    for (const ExprPtr& e : exprs) {
+      SCOPED_TRACE(e->ToString());
+      const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
+      const rel::ExprColumn c = be.Evaluate(r);
+      EXPECT_EQ(c.size(), 0);
+      EXPECT_EQ(c.type(), be.type());
+      EXPECT_TRUE(c.TrueRows().empty());
+      const Relation sel = rel::Select(r, e).ValueOrDie();
+      EXPECT_EQ(sel.num_rows(), 0);
+      const Relation p = rel::Project(r, {{e, "x"}}).ValueOrDie();
+      EXPECT_EQ(p.num_rows(), 0);
+      EXPECT_EQ(p.schema().attribute(0).type, be.type());
+    }
+  }
 }
 
 // --- operators -----------------------------------------------------------------
