@@ -181,12 +181,9 @@ Result<BoundExpr> Bind(const ExprPtr& expr, const Schema& schema) {
 
 namespace {
 
-/// Element type of a mask: one byte per boolean row.
-using Mask = uint8_t;
-
 template <typename T>
 constexpr DataType TypeOf() {
-  if constexpr (std::is_same_v<T, int64_t> || std::is_same_v<T, Mask>) {
+  if constexpr (std::is_same_v<T, int64_t>) {
     return DataType::kInt64;
   } else if constexpr (std::is_same_v<T, double>) {
     return DataType::kDouble;
@@ -196,14 +193,9 @@ constexpr DataType TypeOf() {
   }
 }
 
-/// Integer-typed elements: int64 values and masks.
-template <typename T>
-constexpr bool kIsInt = std::is_same_v<T, int64_t> || std::is_same_v<T, Mask>;
-
 /// Calls `f` with the column's typed element pointer.
 template <typename F>
 auto Visit(const ExprColumn& c, F&& f) {
-  if (c.is_mask()) return f(c.data<Mask>());
   if (c.type() == DataType::kInt64) return f(c.data<int64_t>());
   if (c.type() == DataType::kDouble) return f(c.data<double>());
   return f(c.data<std::string>());
@@ -212,19 +204,9 @@ auto Visit(const ExprColumn& c, F&& f) {
 template <typename P>
 using ElementOf = std::remove_cv_t<std::remove_pointer_t<P>>;
 
-bool IsTrue(Mask v) { return v != 0; }
 bool IsTrue(int64_t v) { return v != 0; }
 bool IsTrue(double v) { return v != 0.0; }  // NaN is true
 bool IsTrue(const std::string& v) { return !v.empty(); }
-
-template <typename T>
-Value Box(const T& v) {
-  if constexpr (std::is_same_v<T, Mask>) {
-    return Value(int64_t{v});
-  } else {
-    return Value(v);
-  }
-}
 
 // Numerics compare as doubles (so int64 values above 2^53 compare as their
 // double images), exactly as ValueLess/ValueEquals do; strings
@@ -249,29 +231,12 @@ bool Equal(const A& u, const B& v) {
 // Two's-complement wrap-around, without signed-overflow UB.
 int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
 
-/// The output buffer of an elementwise kernel: an input's own storage when
-/// it has the result's element type and length (each output element is
-/// written after its inputs are read), else a fresh vector.
-template <typename R>
-std::vector<R> OutputFor(size_t n, ExprColumn& a) {
-  std::vector<R> out = a.ReleaseStorage<R>(n);
-  if (out.empty()) out.resize(n);
-  return out;
-}
-template <typename R>
-std::vector<R> OutputFor(size_t n, ExprColumn& a, ExprColumn& b) {
-  std::vector<R> out = a.ReleaseStorage<R>(n);
-  if (out.empty()) out = b.ReleaseStorage<R>(n);
-  if (out.empty()) out.resize(n);
-  return out;
-}
-
 /// Elementwise f over one column; a broadcast input yields a broadcast
 /// result.
 template <typename R, typename A, typename F>
-ExprColumn Map1(ExprColumn& a, const A* x, F f) {
+ExprColumn Map1(const ExprColumn& a, const A* x, F f) {
   const size_t n = static_cast<size_t>(a.broadcast() ? 1 : a.size());
-  std::vector<R> out = OutputFor<R>(n, a);
+  std::vector<R> out(n);
   R* o = out.data();
   for (size_t i = 0; i < n; ++i) o[i] = f(x[i]);
   return ExprColumn::Owned(std::move(out), a.size(), a.broadcast());
@@ -280,10 +245,11 @@ ExprColumn Map1(ExprColumn& a, const A* x, F f) {
 /// Elementwise f over two columns of equal length; a broadcast side is read
 /// once, and two broadcast sides yield a broadcast result.
 template <typename R, typename A, typename B, typename F>
-ExprColumn Map2(ExprColumn& a, const A* x, ExprColumn& b, const B* y, F f) {
+ExprColumn Map2(const ExprColumn& a, const A* x, const ExprColumn& b,
+                const B* y, F f) {
   const bool broadcast = a.broadcast() && b.broadcast();
   const size_t n = static_cast<size_t>(broadcast ? 1 : a.size());
-  std::vector<R> out = OutputFor<R>(n, a, b);
+  std::vector<R> out(n);
   R* o = out.data();
   if (!broadcast && a.broadcast()) {
     const A x0 = x[0];
@@ -298,14 +264,14 @@ ExprColumn Map2(ExprColumn& a, const A* x, ExprColumn& b, const B* y, F f) {
 }
 
 template <typename A, typename B>
-ExprColumn Compare(ExprOp op, ExprColumn& a, const A* x, ExprColumn& b,
-                   const B* y) {
+ExprColumn Compare(ExprOp op, const ExprColumn& a, const A* x,
+                   const ExprColumn& b, const B* y) {
   constexpr bool an = std::is_arithmetic_v<A>;
   constexpr bool bn = std::is_arithmetic_v<B>;
   if constexpr (an != bn) {
     // Numerics order before strings and never equal one: the result is the
     // same on every row.
-    bool v = true;
+    int64_t v = 1;
     switch (op) {
       case ExprOp::kLt:
       case ExprOp::kLe:
@@ -321,45 +287,45 @@ ExprColumn Compare(ExprOp op, ExprColumn& a, const A* x, ExprColumn& b,
       default:
         break;
     }
-    return ExprColumn::Owned(std::vector<Mask>{v}, a.size(), true);
+    return ExprColumn::Owned(std::vector<int64_t>{v}, a.size(), true);
   } else {
     switch (op) {
       case ExprOp::kLt:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{Less(u, v)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{Less(u, v)};
         });
       case ExprOp::kGt:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{Less(v, u)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{Less(v, u)};
         });
       case ExprOp::kLe:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{!Less(v, u)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{!Less(v, u)};
         });
       case ExprOp::kGe:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{!Less(u, v)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{!Less(u, v)};
         });
       case ExprOp::kEq:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{Equal(u, v)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{Equal(u, v)};
         });
       default:
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return Mask{!Equal(u, v)};
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{!Equal(u, v)};
         });
     }
   }
 }
 
 template <typename A, typename B>
-ExprColumn Arithmetic(ExprOp op, ExprColumn& a, const A* x, ExprColumn& b,
-                      const B* y) {
+ExprColumn Arithmetic(ExprOp op, const ExprColumn& a, const A* x,
+                      const ExprColumn& b, const B* y) {
   if constexpr (!std::is_arithmetic_v<A> || !std::is_arithmetic_v<B>) {
     RMA_CHECK(false && "arithmetic on a string operand passed Bind");
     return ExprColumn::Broadcast(Value(int64_t{0}), a.size());
   } else {
-    if constexpr (kIsInt<A> && kIsInt<B>) {
+    if constexpr (std::is_same_v<A, int64_t> && std::is_same_v<B, int64_t>) {
       // Integer + - * % stay int64; only / goes through double.
       switch (op) {
         case ExprOp::kAdd:
@@ -417,13 +383,13 @@ ExprColumn EvalBinary(ExprOp op, ExprColumn a, ExprColumn b) {
       using B = ElementOf<decltype(y)>;
       // Both sides are evaluated; no operator has side effects or errors.
       if (op == ExprOp::kAnd) {
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return static_cast<Mask>(IsTrue(u) & IsTrue(v));
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{IsTrue(u) && IsTrue(v)};
         });
       }
       if (op == ExprOp::kOr) {
-        return Map2<Mask>(a, x, b, y, [](const A& u, const B& v) {
-          return static_cast<Mask>(IsTrue(u) | IsTrue(v));
+        return Map2<int64_t>(a, x, b, y, [](const A& u, const B& v) {
+          return int64_t{IsTrue(u) || IsTrue(v)};
         });
       }
       if (IsComparison(op)) return Compare(op, a, x, b, y);
@@ -437,7 +403,7 @@ ExprColumn EvalUnary(ExprOp op, ExprColumn a) {
     using A = ElementOf<decltype(x)>;
     if constexpr (std::is_arithmetic_v<A>) {
       if (op == ExprOp::kNeg) {
-        if constexpr (kIsInt<A>) {
+        if constexpr (std::is_same_v<A, int64_t>) {
           return Map1<int64_t>(
               a, x, [](A u) { return Wrap(0 - static_cast<uint64_t>(u)); });
         } else {
@@ -446,7 +412,8 @@ ExprColumn EvalUnary(ExprOp op, ExprColumn a) {
       }
     }
     RMA_CHECK(op == ExprOp::kNot);
-    return Map1<Mask>(a, x, [](const A& u) { return Mask{!IsTrue(u)}; });
+    return Map1<int64_t>(a, x,
+                         [](const A& u) { return int64_t{!IsTrue(u)}; });
   });
 }
 
@@ -552,7 +519,6 @@ template <typename T>
 ExprColumn ExprColumn::Owned(std::vector<T> values, int64_t rows,
                              bool broadcast) {
   ExprColumn c(TypeOf<T>(), rows, broadcast);
-  c.mask_ = std::is_same_v<T, Mask>;
   c.Slot<T>() = std::move(values);
   c.data_ = c.Slot<T>().data();
   return c;
@@ -569,7 +535,6 @@ ExprColumn ExprColumn::View(BatPtr source, const T* data, int64_t rows) {
 template ExprColumn ExprColumn::Owned(std::vector<int64_t>, int64_t, bool);
 template ExprColumn ExprColumn::Owned(std::vector<double>, int64_t, bool);
 template ExprColumn ExprColumn::Owned(std::vector<std::string>, int64_t, bool);
-template ExprColumn ExprColumn::Owned(std::vector<Mask>, int64_t, bool);
 template ExprColumn ExprColumn::View(BatPtr, const int64_t*, int64_t);
 template ExprColumn ExprColumn::View(BatPtr, const double*, int64_t);
 template ExprColumn ExprColumn::View(BatPtr, const std::string*, int64_t);
@@ -588,7 +553,7 @@ ExprColumn ExprColumn::Broadcast(const Value& v, int64_t rows) {
 
 Value ExprColumn::ValueAt(int64_t i) const {
   const size_t at = broadcast_ ? 0 : static_cast<size_t>(i);
-  return Visit(*this, [&](const auto* x) { return Box(x[at]); });
+  return Visit(*this, [&](const auto* x) { return Value(x[at]); });
 }
 
 bool ExprColumn::TruthAt(int64_t i) const {
@@ -620,17 +585,15 @@ std::vector<int64_t> ExprColumn::TrueRows() const {
 BatPtr ExprColumn::ToBat() && {
   return Visit(*this, [&](const auto* x) -> BatPtr {
     using T = ElementOf<decltype(x)>;
-    using Out = std::conditional_t<std::is_same_v<T, Mask>, int64_t, T>;
-    std::vector<Out> out;
+    std::vector<T> out;
     if (broadcast_) {
-      out.assign(static_cast<size_t>(rows_), Out{x[0]});
-    } else if constexpr (std::is_same_v<T, Out>) {
-      out = ReleaseStorage<T>(static_cast<size_t>(rows_));
-      if (out.empty()) out.assign(x, x + rows_);
+      out.assign(static_cast<size_t>(rows_), x[0]);
+    } else if (source_ == nullptr) {
+      out = std::move(Slot<T>());
     } else {
       out.assign(x, x + rows_);
     }
-    return std::make_shared<TypedBat<Out>>(std::move(out));
+    return std::make_shared<TypedBat<T>>(std::move(out));
   });
 }
 

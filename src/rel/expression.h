@@ -67,11 +67,8 @@ class Expr {
 
 /// The value of an expression over every row of a relation, held as one
 /// typed column: int64, double or string values per `type()`. Booleans are
-/// int64 0/1 by type; comparisons and logic store them as one byte per row
-/// (`is_mask()`, element type uint8_t), which keeps a predicate's
-/// intermediates an eighth of the size. A column that does not depend on
-/// the row (an expression over literals only) stores a single value
-/// broadcast to all `size()` rows.
+/// int64 0/1. A column that does not depend on the row (an expression over
+/// literals only) stores a single value broadcast to all `size()` rows.
 ///
 /// Values may be viewed in place from a malloc-backed input column; the
 /// column then keeps that BAT alive. Move-only.
@@ -82,8 +79,8 @@ class ExprColumn {
   ExprColumn(const ExprColumn&) = delete;
   ExprColumn& operator=(const ExprColumn&) = delete;
 
-  /// Owns `values` (int64_t, double, std::string, or uint8_t for a mask):
-  /// one value per row, or a single broadcast value.
+  /// Owns `values` (int64_t, double or std::string): one value per row, or
+  /// a single broadcast value.
   template <typename T>
   static ExprColumn Owned(std::vector<T> values, int64_t rows, bool broadcast);
   /// Views `rows` values of `source` starting at `data`.
@@ -95,32 +92,16 @@ class ExprColumn {
   DataType type() const { return type_; }
   int64_t size() const { return rows_; }
   bool broadcast() const { return broadcast_; }
-  bool is_mask() const { return mask_; }
 
   /// The stored values: `size()` of them, or one when broadcast. `T` must
-  /// be the element type: uint8_t for a mask, else int64_t, double or
-  /// std::string per `type()`.
+  /// be the element type: int64_t, double or std::string per `type()`.
   template <typename T>
   const T* data() const {
     return static_cast<const T*>(data_);
   }
 
-  /// Moves out the owned values when they are `n` elements of type `T`, so
-  /// an elementwise kernel can write its result over its input; else an
-  /// empty vector. Pointers from data() stay valid, into the moved vector.
-  template <typename T>
-  std::vector<T> ReleaseStorage(size_t n) {
-    std::vector<T>& slot = Slot<T>();
-    if (source_ != nullptr || slot.size() != n || slot.data() != data_) {
-      return {};
-    }
-    return std::move(slot);
-  }
-
   /// Boxed value of row `i` (tests and diagnostics).
   Value ValueAt(int64_t i) const;
-  /// Row `i` as a double; strings yield 0.0, as ValueToDouble does.
-  double DoubleAt(int64_t i) const { return ValueToDouble(ValueAt(i)); }
   /// Truth of row `i`: numerics are true when non-zero (NaN included),
   /// strings when non-empty.
   bool TruthAt(int64_t i) const;
@@ -128,8 +109,8 @@ class ExprColumn {
   /// Positions of the true rows, ascending (σ's candidate list).
   std::vector<int64_t> TrueRows() const;
 
-  /// A BAT of `size()` rows holding these values (a mask becomes int64);
-  /// owned values move into it, views and broadcast values are copied.
+  /// A BAT of `size()` rows holding these values; owned values move into
+  /// it, views and broadcast values are copied.
   BatPtr ToBat() &&;
 
  private:
@@ -142,8 +123,6 @@ class ExprColumn {
       return ints_;
     } else if constexpr (std::is_same_v<T, double>) {
       return doubles_;
-    } else if constexpr (std::is_same_v<T, uint8_t>) {
-      return masks_;
     } else {
       return strings_;
     }
@@ -152,13 +131,11 @@ class ExprColumn {
   DataType type_;
   int64_t rows_;
   bool broadcast_;
-  bool mask_ = false;
   const void* data_ = nullptr;  // into one of the vectors below, or source_
   BatPtr source_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   std::vector<std::string> strings_;
-  std::vector<uint8_t> masks_;
 };
 
 /// Operators and functions, resolved from their names at Bind.
@@ -190,8 +167,8 @@ enum class ExprOp {
 /// resolved, the result type inferred. Booleans are int64 0/1.
 ///
 /// Evaluation is column-at-a-time: every node produces an ExprColumn over
-/// all rows, and a node's child columns are released (or reused as its
-/// output) once it has consumed them. Semantics match the scalar Value
+/// all rows, and a node's child columns are released once it has consumed
+/// them. Semantics match the scalar Value
 /// helpers: numeric comparisons go through double (ValueLess/ValueEquals),
 /// numerics order before strings, integer + - * % stay int64 with
 /// x % 0 = 0, / is double with x / 0 = 0, and strings are true when

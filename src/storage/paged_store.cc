@@ -176,17 +176,23 @@ Result<std::shared_ptr<PagedStore>> PagedStore::Open(
     return manifest.status();
   }
 
+  // A file of another format version is intact data this build cannot
+  // read, and its tables cannot be judged damaged or not: refuse the whole
+  // directory before recovery deletes anything.
+  for (const auto& [key, meta] : store->tables_) {
+    for (const ColumnMeta& c : meta.cols) {
+      Result<std::shared_ptr<Pager>> pager = Pager::Open(dir + "/" + c.file);
+      if (pager.status().IsNotImplemented()) return pager.status();
+    }
+  }
+
   // Recovery: admit only the tables whose files check out; a torn or
   // missing column discards its whole table (the manifest swing was the
   // commit point, so this only happens under bit rot or manual tampering —
-  // never from a clean crash). A file of another format version is intact
-  // data this build cannot read: refuse the directory, delete nothing.
+  // never from a clean crash).
   bool dropped = false;
   for (auto it = store->tables_.begin(); it != store->tables_.end();) {
     Result<Relation> rel = store->LoadTable(it->second);
-    if (rel.status().IsNotImplemented()) {
-      return rel.status();
-    }
     if (rel.ok()) {
       store->recovered_.emplace_back(it->second.display_name, *rel);
       ++it;

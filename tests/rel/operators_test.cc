@@ -45,7 +45,7 @@ TEST(Expression, ArithmeticAndTypes) {
                               Expr::LiteralInt(2));
   const rel::BoundExpr be = Bind(e, r.schema()).ValueOrDie();
   EXPECT_EQ(be.type(), DataType::kDouble);
-  EXPECT_EQ(be.Evaluate(r).DoubleAt(0), 200.0);
+  EXPECT_EQ(ValueToDouble(be.Evaluate(r).ValueAt(0)), 200.0);
   // Integer arithmetic stays integral except division.
   const auto ie = Expr::Binary("+", Expr::Column("age"), Expr::LiteralInt(1));
   EXPECT_EQ(Bind(ie, r.schema()).ValueOrDie().type(), DataType::kInt64);
@@ -71,12 +71,14 @@ TEST(Expression, ComparisonsAndLogic) {
 TEST(Expression, Functions) {
   const Relation r = People();
   const auto e = Expr::Call("SQRT", {Expr::Column("salary")});
-  EXPECT_NEAR(Bind(e, r.schema()).ValueOrDie().Evaluate(r).DoubleAt(0), 10.0,
-              1e-12);
+  EXPECT_NEAR(
+      ValueToDouble(Bind(e, r.schema()).ValueOrDie().Evaluate(r).ValueAt(0)),
+      10.0, 1e-12);
   const auto p = Expr::Call(
       "POW", {Expr::LiteralDouble(2.0), Expr::LiteralDouble(10.0)});
-  EXPECT_NEAR(Bind(p, r.schema()).ValueOrDie().Evaluate(r).DoubleAt(0),
-              1024.0, 1e-12);
+  EXPECT_NEAR(
+      ValueToDouble(Bind(p, r.schema()).ValueOrDie().Evaluate(r).ValueAt(0)),
+      1024.0, 1e-12);
 }
 
 TEST(Expression, BindErrors) {
@@ -95,7 +97,7 @@ TEST(Expression, BindErrors) {
 TEST(Expression, PositionalColumnRefs) {
   const Relation r = People();
   const rel::BoundExpr be = Bind(Expr::ColumnAt(2), r.schema()).ValueOrDie();
-  EXPECT_EQ(be.Evaluate(r).DoubleAt(1), 40.0);
+  EXPECT_EQ(ValueToDouble(be.Evaluate(r).ValueAt(1)), 40.0);
   EXPECT_STATUS(kKeyError, Bind(Expr::ColumnAt(9), r.schema()));
 }
 

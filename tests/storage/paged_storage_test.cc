@@ -58,6 +58,20 @@ void CorruptBit(const std::string& path, long offset, int bit) {
   std::fclose(f);
 }
 
+/// Rewrites the header of the page file at `path` as format version 1,
+/// with a valid header checksum.
+void StampVersion1(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  uint64_t header[5];
+  ASSERT_EQ(std::fread(header, sizeof(header), 1, f), 1u);
+  header[1] = 1;
+  header[4] = StorageChecksum(header, 4 * sizeof(uint64_t));
+  ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
+  std::fclose(f);
+}
+
 TEST(Pager, RoundTripAndReopen) {
   const std::string dir = TempDir();
   const std::string path = dir + "/t.col";
@@ -329,17 +343,8 @@ TEST(PagedStore, RefusesVersion1DirectoryWithoutDeletingIt) {
                                                              1.0, false, "m"))
                   .status());
   }
-  // Stamp version 1 (with a valid header checksum) on the first column file.
   const std::string col = dir + "/c1.col";
-  std::FILE* f = std::fopen(col.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  uint64_t header[5];
-  ASSERT_EQ(std::fread(header, sizeof(header), 1, f), 1u);
-  header[1] = 1;
-  header[4] = StorageChecksum(header, 4 * sizeof(uint64_t));
-  ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
-  std::fclose(f);
+  StampVersion1(col);
   for (int attempt = 0; attempt < 2; ++attempt) {
     const auto reopened = PagedStore::Open(dir);
     ASSERT_FALSE(reopened.ok());
@@ -349,6 +354,33 @@ TEST(PagedStore, RefusesVersion1DirectoryWithoutDeletingIt) {
         << reopened.status().ToString();
     EXPECT_EQ(access(col.c_str(), F_OK), 0) << "column file was deleted";
   }
+}
+
+TEST(PagedStore, RefusesVersion1BeforeDiscardingDamagedTables) {
+  // Table "a" is damaged (a column file is missing) and sorts before table
+  // "m", which has a version 1 file. The version refusal must come first:
+  // recovery may not delete "a"'s remaining files on the way to it.
+  const std::string dir = TempDir();
+  {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
+                         PagedStore::Open(dir));
+    ASSERT_OK(store
+                  ->SaveTable("a", workload::UniformRelation(50, 1, 3, 0.0,
+                                                             1.0, false, "a"))
+                  .status());
+    ASSERT_OK(store
+                  ->SaveTable("m", workload::UniformRelation(50, 1, 3, 0.0,
+                                                             1.0, false, "m"))
+                  .status());
+  }
+  ASSERT_EQ(std::remove((dir + "/c2.col").c_str()), 0);
+  StampVersion1(dir + "/c3.col");
+  const auto reopened = PagedStore::Open(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsNotImplemented())
+      << reopened.status().ToString();
+  EXPECT_EQ(access((dir + "/c1.col").c_str(), F_OK), 0)
+      << "a damaged table's file was deleted";
 }
 
 TEST(Database, CorruptPageSurfacesAsIoError) {
