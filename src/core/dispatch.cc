@@ -4,7 +4,6 @@
 #include "core/rma.h"
 #include "matrix/blas.h"
 #include "matrix/parallel.h"
-#include "storage/bat_ops.h"
 #include "storage/paged_bat.h"
 #include "util/timer.h"
 
@@ -113,25 +112,7 @@ Result<std::vector<BatPtr>> DispatchBinary(ExecContext& ctx,
   ScopedThreadBudget budget(ctx.effective_thread_budget());
   Timer timer;
   if (plan.kernel == KernelChoice::kBat && info.union_compatible) {
-    // Operate BAT-at-a-time; preserves the sparse fast path (Table 5).
-    std::vector<BatPtr> base;
-    for (int64_t j = 0; j < pr.app_cols(); ++j) {
-      const BatPtr a = pr.AppColumnBat(static_cast<size_t>(j));
-      const BatPtr b = ps.AppColumnBat(static_cast<size_t>(j));
-      switch (op) {
-        case MatrixOp::kAdd:
-          base.push_back(bat_ops::AddColumns(a, b));
-          break;
-        case MatrixOp::kSub:
-          base.push_back(bat_ops::SubColumns(a, b));
-          break;
-        default:
-          base.push_back(bat_ops::MulColumns(a, b));
-          break;
-      }
-    }
-    ctx.RecordStage(Stage::kKernel, timer.Seconds());
-    return base;
+    return DispatchElementwise(ctx, plan, pr, ps);
   }
   if (plan.kernel == KernelChoice::kBat && op == MatrixOp::kCpd) {
     // cpd stays on the BATs themselves (element-at-a-time fetches).

@@ -79,15 +79,25 @@ Result<std::vector<BatPtr>> DispatchBinary(ExecContext& ctx,
 /// removed), so the recorded plan always matches what actually ran.
 void ClampShards(const ExecContext& ctx, OpPlan* plan);
 
+/// Element-wise add/sub/emu. Over contiguous double columns, each of
+/// plan.shards row-range shards (one, inline, when unsharded) reads the
+/// stored columns through the prepared permutations straight into the SIMD
+/// kernel: no permuted copy is made, the result is bit-identical for every
+/// shard count, and the fused gather is kernel time. Other columns run
+/// BAT-at-a-time (Table 5).
+Result<std::vector<BatPtr>> DispatchElementwise(ExecContext& ctx,
+                                                const OpPlan& plan,
+                                                const PreparedArg& pr,
+                                                const PreparedArg& ps);
+
 /// Kernel-stage execution of a row-range sharded binary operation
-/// (plan.shards > 1): one stage chain per shard on the shared pool under a
-/// split thread budget, then the plan's merge stage — ordered concatenation
-/// for element-wise ops, pairwise tree-reduction of per-shard partials for
-/// cross products. Records summed per-shard stage seconds (CPU-time
-/// semantics, which the cost-model refinement expects), per-shard wall times
-/// via ExecContext::RecordShardTimes, and the merge under Stage::kMerge.
-/// Falls back to DispatchBinary if an input unexpectedly lacks contiguous
-/// double storage.
+/// (plan.shards > 1): DispatchElementwise for MergeKind::kConcat; for
+/// kTreeReduce, one pack→kernel chain per shard on the shared pool under a
+/// split thread budget, then pairwise tree-reduction of the partials under
+/// Stage::kMerge. Records summed per-shard stage seconds (CPU-time
+/// semantics, which the cost-model refinement expects) and per-shard wall
+/// times via ExecContext::RecordShardTimes. Falls back to DispatchBinary if
+/// an input unexpectedly lacks contiguous double storage.
 Result<std::vector<BatPtr>> DispatchShardedBinary(ExecContext& ctx,
                                                   const OpPlan& plan,
                                                   const PreparedArg& pr,

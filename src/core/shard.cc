@@ -4,8 +4,7 @@
 
 namespace rma {
 
-std::vector<ShardSpec> MakeShardSpecs(int64_t rows, int shards,
-                                      std::vector<int> columns) {
+std::vector<ShardSpec> MakeShardSpecs(int64_t rows, int shards) {
   RMA_CHECK(rows >= 0 && shards >= 1);
   std::vector<ShardSpec> specs(static_cast<size_t>(shards));
   const int64_t base = rows / shards;
@@ -16,18 +15,9 @@ std::vector<ShardSpec> MakeShardSpecs(int64_t rows, int shards,
     spec.shard = s;
     spec.begin = begin;
     spec.end = begin + base + (s < extra ? 1 : 0);
-    spec.columns = columns;
     begin = spec.end;
   }
   return specs;
-}
-
-std::vector<BatPtr> SliceColumns(const std::vector<BatPtr>& cols,
-                                 const ShardSpec& spec) {
-  std::vector<BatPtr> out;
-  out.reserve(cols.size());
-  for (const auto& c : cols) out.push_back(SliceBat(c, spec.begin, spec.rows()));
-  return out;
 }
 
 }  // namespace rma

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/exec_internal.h"
@@ -26,36 +27,75 @@ struct ShardTiming {
   double wall = 0;
 };
 
-/// The operation's application columns in prepared row order. Identity
-/// permutations hand back the stored columns (zero-copy); sorted arguments
-/// materialize once here, on the dispatching thread, before the fan-out.
-std::vector<BatPtr> AppColumns(const PreparedArg& p) {
-  std::vector<BatPtr> cols;
-  cols.reserve(static_cast<size_t>(p.app_cols()));
-  for (int64_t j = 0; j < p.app_cols(); ++j) {
-    cols.push_back(p.AppColumnBat(static_cast<size_t>(j)));
+/// One argument as its stored application columns plus the prepared
+/// permutation: operation row i reads cols[j][perm[i]], or cols[j][i] when
+/// perm is null. Nothing is copied; the pointers stay valid inside
+/// RmaBinary's PinnedRelations bracket.
+struct StoredColumns {
+  std::vector<const double*> cols;
+  const int64_t* perm = nullptr;
+
+  /// Operation rows [i0, i0 + len) of column j: read in place, or gathered
+  /// through the permutation into `buf`.
+  const double* Rows(size_t j, int64_t i0, int64_t len, double* buf) const {
+    if (perm == nullptr) return cols[j] + i0;
+    bat_ops::GatherDenseToStrided(cols[j], perm + i0, len, buf, 1);
+    return buf;
   }
-  return cols;
+};
+
+/// The stored columns of `p`, or nullopt if one lacks contiguous double
+/// storage.
+std::optional<StoredColumns> Stored(const PreparedArg& p) {
+  StoredColumns out;
+  for (int idx : p.split.app_idx) {
+    const double* d = p.rel.column(idx)->ContiguousDoubleData();
+    if (d == nullptr) return std::nullopt;
+    out.cols.push_back(d);
+  }
+  if (!p.identity()) out.perm = p.perm.data();
+  return out;
 }
 
-bool AllContiguous(const std::vector<BatPtr>& cols) {
-  for (const auto& c : cols) {
-    if (c->ContiguousDoubleData() == nullptr) return false;
+/// Row-major pack of one shard's row range, read through the permutation
+/// when the argument carries one.
+DenseMatrix PackShard(const StoredColumns& side, const ShardSpec& spec) {
+  const int64_t k = static_cast<int64_t>(side.cols.size());
+  DenseMatrix m(spec.rows(), k);
+  std::vector<const double*> ptrs(side.cols);
+  const int64_t* perm = side.perm;
+  if (perm != nullptr) {
+    perm += spec.begin;
+  } else {
+    for (const double*& p : ptrs) p += spec.begin;
   }
-  return true;
-}
-
-/// Row-major pack of one shard's slice views (every column contiguous; the
-/// tiled pack runs at full speed on the offset pointers).
-DenseMatrix PackShard(const std::vector<BatPtr>& cols, int64_t rows) {
-  const int64_t k = static_cast<int64_t>(cols.size());
-  DenseMatrix m(rows, k);
-  std::vector<const double*> ptrs(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) {
-    ptrs[j] = cols[j]->ContiguousDoubleData();
-  }
-  bat_ops::PackColumnsRowMajor(ptrs.data(), k, nullptr, rows, m.data());
+  bat_ops::PackColumnsRowMajor(ptrs.data(), k, perm, spec.rows(), m.data());
   return m;
+}
+
+// Rows per block of an element-wise op: the block's slice of the
+// permutation and both 8 KiB gather buffers stay in L1.
+constexpr int64_t kBlockRows = 1024;
+
+using ElementwiseKernel = void (*)(const double*, const double*, double*,
+                                   int64_t);
+
+/// out[j][i] = a[j][i] op b[j][i] for rows [begin, end), block by block. The
+/// same values reach the same SIMD kernel as a Take-then-op would, so the
+/// result is bit-identical to it. Columns are the outer loop, so the random
+/// reads of a block stay within one column.
+void ElementwiseRows(ElementwiseKernel kernel, const StoredColumns& a,
+                     const StoredColumns& b, int64_t begin, int64_t end,
+                     std::vector<std::vector<double>>* out) {
+  double abuf[kBlockRows];
+  double bbuf[kBlockRows];
+  for (size_t j = 0; j < a.cols.size(); ++j) {
+    for (int64_t i0 = begin; i0 < end; i0 += kBlockRows) {
+      const int64_t len = std::min(kBlockRows, end - i0);
+      kernel(a.Rows(j, i0, len, abuf), b.Rows(j, i0, len, bbuf),
+             (*out)[j].data() + i0, len);
+    }
+  }
 }
 
 /// Runs `fn(spec)` for every shard: shards 1..S-1 as shared-pool tasks,
@@ -77,7 +117,7 @@ void RunShards(const std::vector<ShardSpec>& specs, const Fn& fn) {
 /// Commits the joined shard timings from the bracket-owning thread: summed
 /// stage seconds (CPU-time semantics — the refinement loop divides them by
 /// total elements) plus the per-shard walls for EXPLAIN ANALYZE.
-void RecordShardStages(ExecContext& ctx, Stage work_stage,
+void RecordShardStages(ExecContext& ctx,
                        const std::vector<ShardTiming>& timings) {
   double gather = 0;
   double kernel = 0;
@@ -88,75 +128,9 @@ void RecordShardStages(ExecContext& ctx, Stage work_stage,
     kernel += t.kernel;
     walls.push_back(t.wall);
   }
-  if (gather > 0) ctx.RecordStage(work_stage, gather);
+  if (gather > 0) ctx.RecordStage(Stage::kGather, gather);
   ctx.RecordStage(Stage::kKernel, kernel);
   ctx.RecordShardTimes(walls);
-}
-
-/// Element-wise ops under MergeKind::kConcat: every shard applies the SIMD
-/// kernel to its row range, writing into disjoint ranges of the final output
-/// columns — the ordered concatenation is the write pattern itself, so the
-/// merge stage is just the move of the finished columns into BATs. Bit-exact
-/// with the unsharded path: the element-wise SIMD kernels are bit-identical
-/// to their scalar loops and carry no cross-element state.
-Result<std::vector<BatPtr>> DispatchConcat(ExecContext& ctx, const OpPlan& plan,
-                                           const PreparedArg& pr,
-                                           const PreparedArg& ps,
-                                           int per_shard_budget) {
-  const MatrixOp op = plan.op;
-  const int64_t n = pr.rows;
-  const int64_t k = pr.app_cols();
-  Timer timer;
-  const std::vector<BatPtr> left = AppColumns(pr);
-  const std::vector<BatPtr> right = AppColumns(ps);
-  if (!AllContiguous(left) || !AllContiguous(right)) {
-    return DispatchBinary(ctx, plan, pr, ps);
-  }
-  // Column extraction is part of the prepare stage on the no-copy path (it
-  // is free for identity permutations, a one-time gather otherwise).
-  ctx.RecordStage(Stage::kPrepare, timer.Seconds());
-
-  std::vector<std::vector<double>> out(static_cast<size_t>(k));
-  for (auto& col : out) col.resize(static_cast<size_t>(n));
-  const std::vector<ShardSpec> specs =
-      MakeShardSpecs(n, plan.shards, pr.split.app_idx);
-  std::vector<ShardTiming> timings(specs.size());
-
-  auto run = [&](const ShardSpec& spec) {
-    ScopedThreadBudget budget(per_shard_budget);
-    Timer wall;
-    Timer stage;
-    const std::vector<BatPtr> la = SliceColumns(left, spec);
-    const std::vector<BatPtr> ra = SliceColumns(right, spec);
-    ShardTiming& t = timings[static_cast<size_t>(spec.shard)];
-    t.gather = stage.Seconds();
-    stage.Restart();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* a = la[static_cast<size_t>(j)]->ContiguousDoubleData();
-      const double* b = ra[static_cast<size_t>(j)]->ContiguousDoubleData();
-      double* o = out[static_cast<size_t>(j)].data() + spec.begin;
-      switch (op) {
-        case MatrixOp::kAdd:
-          simd::Add(a, b, o, spec.rows());
-          break;
-        case MatrixOp::kSub:
-          simd::Sub(a, b, o, spec.rows());
-          break;
-        default:  // kEmu
-          simd::Mul(a, b, o, spec.rows());
-          break;
-      }
-    }
-    t.kernel = stage.Seconds();
-    t.wall = wall.Seconds();
-  };
-  RunShards(specs, run);
-
-  RecordShardStages(ctx, Stage::kPrepare, timings);
-  timer.Restart();
-  std::vector<BatPtr> base = ColumnsToBats(std::move(out));
-  ctx.RecordStage(Stage::kMerge, timer.Seconds());
-  return base;
 }
 
 /// Cross products under MergeKind::kTreeReduce: each shard gathers its row
@@ -169,21 +143,19 @@ Result<std::vector<BatPtr>> DispatchConcat(ExecContext& ctx, const OpPlan& plan,
 Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
                                                const OpPlan& plan,
                                                const PreparedArg& pr,
-                                               const PreparedArg& ps,
-                                               int per_shard_budget) {
+                                               const PreparedArg& ps) {
   const bool syrk = plan.kernel == KernelChoice::kDenseSyrk;
-  const int64_t n = pr.rows;
-  Timer timer;
-  const std::vector<BatPtr> left = AppColumns(pr);
-  const std::vector<BatPtr> right = syrk ? std::vector<BatPtr>{} : AppColumns(ps);
-  if (!AllContiguous(left) || !AllContiguous(right)) {
-    return DispatchBinary(ctx, plan, pr, ps);
-  }
-  ctx.RecordStage(Stage::kGather, timer.Seconds());
+  const std::optional<StoredColumns> left = Stored(pr);
+  const std::optional<StoredColumns> right =
+      syrk ? std::optional<StoredColumns>(StoredColumns{}) : Stored(ps);
+  if (!left || !right) return DispatchBinary(ctx, plan, pr, ps);
+  ScopedThreadBudget outer(ctx.effective_thread_budget());
+  int threads = CurrentThreadBudget();
+  if (threads <= 0) threads = DefaultThreadCount();
+  const int per_shard_budget = std::max(1, threads / plan.shards);
 
   const int S = plan.shards;
-  const std::vector<ShardSpec> specs =
-      MakeShardSpecs(n, S, pr.split.app_idx);
+  const std::vector<ShardSpec> specs = MakeShardSpecs(pr.rows, S);
   std::vector<ShardTiming> timings(specs.size());
   std::vector<DenseMatrix> partials(static_cast<size_t>(S));
   std::vector<Status> statuses(static_cast<size_t>(S));
@@ -193,10 +165,8 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
     const size_t i = static_cast<size_t>(spec.shard);
     Timer wall;
     Timer stage;
-    const DenseMatrix a = PackShard(SliceColumns(left, spec), spec.rows());
-    const DenseMatrix b =
-        syrk ? DenseMatrix()
-             : PackShard(SliceColumns(right, spec), spec.rows());
+    const DenseMatrix a = PackShard(*left, spec);
+    const DenseMatrix b = syrk ? DenseMatrix() : PackShard(*right, spec);
     timings[i].gather = stage.Seconds();
     stage.Restart();
     if (syrk) {
@@ -215,8 +185,8 @@ Result<std::vector<BatPtr>> DispatchTreeReduce(ExecContext& ctx,
   RunShards(specs, run);
   for (const Status& st : statuses) RMA_RETURN_NOT_OK(st);
 
-  RecordShardStages(ctx, Stage::kGather, timings);
-  timer.Restart();
+  RecordShardStages(ctx, timings);
+  Timer timer;
   for (int stride = 1; stride < S; stride *= 2) {
     for (int i = 0; i + stride < S; i += 2 * stride) {
       RMA_RETURN_NOT_OK(blas::AddInPlace(&partials[static_cast<size_t>(i)],
@@ -251,19 +221,65 @@ void ClampShards(const ExecContext& ctx, OpPlan* plan) {
       plan->stages.end());
 }
 
+Result<std::vector<BatPtr>> DispatchElementwise(ExecContext& ctx,
+                                                const OpPlan& plan,
+                                                const PreparedArg& pr,
+                                                const PreparedArg& ps) {
+  const MatrixOp op = plan.op;
+  const std::optional<StoredColumns> left = Stored(pr);
+  const std::optional<StoredColumns> right = Stored(ps);
+  Timer timer;
+  if (!left || !right) {
+    // Sparse or non-double columns operate BAT-at-a-time, which keeps the
+    // sparse fast path (Table 5).
+    BatPtr (*const column_op)(const BatPtr&, const BatPtr&) =
+        op == MatrixOp::kAdd   ? bat_ops::AddColumns
+        : op == MatrixOp::kSub ? bat_ops::SubColumns
+                               : bat_ops::MulColumns;
+    std::vector<BatPtr> base;
+    for (size_t j = 0; j < static_cast<size_t>(pr.app_cols()); ++j) {
+      base.push_back(column_op(pr.AppColumnBat(j), ps.AppColumnBat(j)));
+    }
+    ctx.RecordStage(Stage::kKernel, timer.Seconds());
+    return base;
+  }
+
+  const ElementwiseKernel kernel = op == MatrixOp::kAdd   ? simd::Add
+                                   : op == MatrixOp::kSub ? simd::Sub
+                                                          : simd::Mul;
+  const int64_t n = pr.rows;
+  std::vector<std::vector<double>> out(left->cols.size());
+  for (auto& col : out) col.resize(static_cast<size_t>(n));
+  if (plan.shards <= 1) {
+    ElementwiseRows(kernel, *left, *right, 0, n, &out);
+    std::vector<BatPtr> base = ColumnsToBats(std::move(out));
+    ctx.RecordStage(Stage::kKernel, timer.Seconds());
+    return base;
+  }
+  const std::vector<ShardSpec> specs = MakeShardSpecs(n, plan.shards);
+  std::vector<ShardTiming> timings(specs.size());
+  RunShards(specs, [&](const ShardSpec& spec) {
+    Timer wall;
+    ElementwiseRows(kernel, *left, *right, spec.begin, spec.end, &out);
+    const double seconds = wall.Seconds();
+    timings[static_cast<size_t>(spec.shard)] = {0, seconds, seconds};
+  });
+  RecordShardStages(ctx, timings);
+  timer.Restart();
+  std::vector<BatPtr> base = ColumnsToBats(std::move(out));
+  ctx.RecordStage(Stage::kMerge, timer.Seconds());
+  return base;
+}
+
 Result<std::vector<BatPtr>> DispatchShardedBinary(ExecContext& ctx,
                                                   const OpPlan& plan,
                                                   const PreparedArg& pr,
                                                   const PreparedArg& ps) {
-  ScopedThreadBudget outer(ctx.effective_thread_budget());
-  int budget = CurrentThreadBudget();
-  if (budget <= 0) budget = DefaultThreadCount();
-  const int per_shard_budget = std::max(1, budget / plan.shards);
   switch (plan.merge) {
     case MergeKind::kConcat:
-      return DispatchConcat(ctx, plan, pr, ps, per_shard_budget);
+      return DispatchElementwise(ctx, plan, pr, ps);
     case MergeKind::kTreeReduce:
-      return DispatchTreeReduce(ctx, plan, pr, ps, per_shard_budget);
+      return DispatchTreeReduce(ctx, plan, pr, ps);
     case MergeKind::kNone:
       break;
   }

@@ -288,6 +288,29 @@ void CopyDenseToStrided(const double* src, int64_t n, double* dst,
   for (; i < n; ++i) dst[i * stride] = src[i];
 }
 
+void GatherDenseToStrided(const double* v, const int64_t* perm, int64_t n,
+                          double* dst, int64_t stride) {
+  // Data-dependent loads (v[p[i]]) defeat the hardware prefetcher; request
+  // the lines a fixed distance ahead through the (sequentially readable)
+  // permutation. Prefetching is a hint — results are bit-identical.
+  const int64_t dist = PrefetchDistance();
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    double* out = dst + i * stride;
+    if (dist > 0 && i + dist + 3 < n) {
+      RMA_PREFETCH_READ(v + perm[i + dist]);
+      RMA_PREFETCH_READ(v + perm[i + dist + 1]);
+      RMA_PREFETCH_READ(v + perm[i + dist + 2]);
+      RMA_PREFETCH_READ(v + perm[i + dist + 3]);
+    }
+    out[0] = v[perm[i]];
+    out[stride] = v[perm[i + 1]];
+    out[2 * stride] = v[perm[i + 2]];
+    out[3 * stride] = v[perm[i + 3]];
+  }
+  for (; i < n; ++i) dst[i * stride] = v[perm[i]];
+}
+
 void GatherColumnToStrided(const Bat& col, const std::vector<int64_t>& perm,
                            double* dst, int64_t stride) {
   const int64_t n = perm.empty() ? col.size()
@@ -301,26 +324,7 @@ void GatherColumnToStrided(const Bat& col, const std::vector<int64_t>& perm,
     return;
   }
   if (const double* v = col.ContiguousDoubleData()) {
-    // Data-dependent loads (v[p[i]]) defeat the hardware prefetcher; request
-    // the lines a fixed distance ahead through the (sequentially readable)
-    // permutation. Prefetching is a hint — results are bit-identical.
-    const int64_t* p = perm.data();
-    const int64_t dist = PrefetchDistance();
-    int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      double* out = dst + i * stride;
-      if (dist > 0 && i + dist + 3 < n) {
-        RMA_PREFETCH_READ(v + p[i + dist]);
-        RMA_PREFETCH_READ(v + p[i + dist + 1]);
-        RMA_PREFETCH_READ(v + p[i + dist + 2]);
-        RMA_PREFETCH_READ(v + p[i + dist + 3]);
-      }
-      out[0] = v[p[i]];
-      out[stride] = v[p[i + 1]];
-      out[2 * stride] = v[p[i + 2]];
-      out[3 * stride] = v[p[i + 3]];
-    }
-    for (; i < n; ++i) dst[i * stride] = v[p[i]];
+    GatherDenseToStrided(v, perm.data(), n, dst, stride);
     return;
   }
   for (int64_t i = 0; i < n; ++i) {

@@ -73,6 +73,12 @@ std::vector<double> AddDense(const std::vector<double>& a,
 void CopyDenseToStrided(const double* src, int64_t n, double* dst,
                         int64_t stride);
 
+/// Copies `v[perm[i]]` into `dst[i*stride]` for i in [0, n), prefetching the
+/// source lines a fixed distance ahead through `perm` (bit-identical to the
+/// plain loop). The permuted half of the gathers below.
+void GatherDenseToStrided(const double* v, const int64_t* perm, int64_t n,
+                          double* dst, int64_t stride);
+
 /// Copies `col[perm[i]]` (or `col[i]` when `perm` is empty) into
 /// `dst[i*stride]` for i in [0, n). Dense double columns take a direct
 /// array walk instead of per-element virtual fetches — the shared fast path

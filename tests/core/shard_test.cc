@@ -1,7 +1,9 @@
 // Sharded stage execution tests: shard/unshard equivalence (bit-exact for
 // concat-merged element-wise ops, tolerance-bounded for tree-reduced cross
-// products), zero-copy row-range slice views and their identity stability,
-// the planner's shards=1 fallback, dispatch-time clamping, and RmaOptions
+// products), arguments read through sort or alignment permutations (bit-exact
+// against an explicit Take-then-op reference, no sort time on a warm cache),
+// zero-copy row-range slice views and their identity stability, the
+// planner's shards=1 fallback, dispatch-time clamping, and RmaOptions
 // validation.
 #include <gtest/gtest.h>
 
@@ -9,11 +11,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/exec_context.h"
 #include "core/exec_internal.h"
 #include "core/planner.h"
+#include "core/query_cache.h"
 #include "core/rma.h"
 #include "core/shard.h"
 #include "matrix/simd.h"
@@ -149,16 +153,6 @@ TEST(ShardSpecTest, SliceBatOnNonDoubleFallsBackToCopy) {
   EXPECT_EQ(slice->ContiguousDoubleData(), nullptr);
   EXPECT_EQ(slice->GetDouble(0), 6.0);
   EXPECT_EQ(slice->GetDouble(2), 8.0);
-}
-
-TEST(ShardSpecTest, SliceColumnsRespectsShardRange) {
-  const Relation r = DenseKeyed(100, 2, "i", /*seed=*/1);
-  const std::vector<BatPtr> cols = {r.column(1), r.column(2)};
-  const auto specs = MakeShardSpecs(100, 3);
-  const auto sliced = SliceColumns(cols, specs[1]);
-  ASSERT_EQ(sliced.size(), 2u);
-  EXPECT_EQ(sliced[0]->size(), specs[1].rows());
-  EXPECT_EQ(sliced[0]->GetDouble(0), cols[0]->GetDouble(specs[1].begin));
 }
 
 TEST(ShardSpecTest, SliceRowsIdentityStableAndDistinct) {
@@ -302,6 +296,201 @@ TEST(ShardEquivalenceTest, EndToEndShardedAddMatchesSerial) {
     EXPECT_TRUE(BitEqual(ToDoubleVector(*a.column(c)),
                          ToDoubleVector(*b.column(c))))
         << "col=" << c;
+  }
+}
+
+// --- permuted arguments ------------------------------------------------------
+
+/// `r` with its rows in a seeded random physical order, so sorting or
+/// aligning it by its key yields a non-identity permutation.
+Relation Shuffled(const Relation& r, uint64_t seed) {
+  std::vector<int64_t> idx(static_cast<size_t>(r.num_rows()));
+  for (size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int64_t>(i);
+  Rng rng(seed);
+  std::shuffle(idx.begin(), idx.end(), rng.engine());
+  Relation out = r.TakeRows(idx);
+  out.set_name(r.name());
+  return out;
+}
+
+/// The explicit reference of a fused element-wise op: each side's columns
+/// materialized through its prepared permutation (Take), then the SIMD
+/// kernel over the copies.
+std::vector<std::vector<double>> TakeThenOp(MatrixOp op,
+                                            const PreparedArg& pr,
+                                            const PreparedArg& ps) {
+  std::vector<std::vector<double>> out;
+  for (size_t j = 0; j < static_cast<size_t>(pr.app_cols()); ++j) {
+    const std::vector<double> a = ToDoubleVector(*pr.AppColumnBat(j));
+    const std::vector<double> b = ToDoubleVector(*ps.AppColumnBat(j));
+    std::vector<double> o(a.size());
+    const int64_t n = static_cast<int64_t>(a.size());
+    switch (op) {
+      case MatrixOp::kAdd:
+        simd::Add(a.data(), b.data(), o.data(), n);
+        break;
+      case MatrixOp::kSub:
+        simd::Sub(a.data(), b.data(), o.data(), n);
+        break;
+      default:
+        simd::Mul(a.data(), b.data(), o.data(), n);
+        break;
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+/// Dispatches `op` over already prepared arguments with `shards` row-range
+/// shards (shards == 1 takes the unsharded DispatchBinary path).
+Result<std::vector<BatPtr>> DispatchWithShards(ExecContext& ctx, MatrixOp op,
+                                               const PreparedArg& pr,
+                                               const PreparedArg& ps,
+                                               int shards, MergeKind merge) {
+  const ArgShape right_shape = ps.Shape();
+  OpPlan plan = PlanOp(op, ctx.options(), pr.Shape(), &right_shape);
+  if (shards == 1) {
+    plan.shards = 1;
+    plan.merge = MergeKind::kNone;
+    return internal::DispatchBinary(ctx, plan, pr, ps);
+  }
+  plan.shards = shards;
+  plan.merge = merge;
+  return internal::DispatchShardedBinary(ctx, plan, pr, ps);
+}
+
+/// Runs add/sub/emu on (r, s) under `sort` for every shard count in
+/// {1, 2, 3, 4, 7} and requires each result to be byte-identical to
+/// TakeThenOp. `left_permuted` states whether the policy leaves r with a
+/// non-identity permutation (s always carries one).
+void ExpectPermutedElementwiseExact(const Relation& r, const Relation& s,
+                                    SortPolicy sort, bool left_permuted) {
+  RmaOptions opts = ShardOpts(8);
+  opts.sort = sort;
+  for (MatrixOp op : {MatrixOp::kAdd, MatrixOp::kSub, MatrixOp::kEmu}) {
+    ExecContext ctx(opts);
+    ASSERT_OK_AND_ASSIGN(internal::BinaryArgs args,
+                         internal::PrepareBinaryArgs(ctx, GetOpInfo(op), r,
+                                                     {"i"}, s, {"j"}));
+    ASSERT_EQ(!args.left->identity(), left_permuted);
+    ASSERT_FALSE(args.right->identity());
+    const std::vector<std::vector<double>> want =
+        TakeThenOp(op, *args.left, *args.right);
+    for (int shards : {1, 2, 3, 4, 7}) {
+      ASSERT_OK_AND_ASSIGN(
+          std::vector<BatPtr> got,
+          DispatchWithShards(ctx, op, *args.left, *args.right, shards,
+                             MergeKind::kConcat));
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t j = 0; j < got.size(); ++j) {
+        EXPECT_TRUE(BitEqual(ToDoubleVector(*got[j]), want[j]))
+            << "op=" << GetOpInfo(op).name << " shards=" << shards
+            << " col=" << j;
+      }
+    }
+  }
+}
+
+TEST(PermutedEquivalenceTest, AlignedRightSideMatchesTakeThenOp) {
+  // Relative alignment (Sec. 8.1): r keeps its physical order, s is read
+  // through the hash alignment onto r's keys.
+  const Relation r = DenseKeyed(7001, 3, "i", /*seed=*/31, false, "r");
+  const Relation s =
+      Shuffled(DenseKeyed(7001, 3, "j", /*seed=*/32, false, "s"), 33);
+  ExpectPermutedElementwiseExact(r, s, SortPolicy::kOptimized,
+                                 /*left_permuted=*/false);
+}
+
+TEST(PermutedEquivalenceTest, BothSidesSortedMatchesTakeThenOp) {
+  // SortPolicy::kAlways sorts both shuffled arguments: both carry a
+  // permutation into the kernel.
+  const Relation r =
+      Shuffled(DenseKeyed(7001, 3, "i", /*seed=*/34, false, "r"), 35);
+  const Relation s =
+      Shuffled(DenseKeyed(7001, 3, "j", /*seed=*/36, false, "s"), 37);
+  ExpectPermutedElementwiseExact(r, s, SortPolicy::kAlways,
+                                 /*left_permuted=*/true);
+}
+
+TEST(PermutedEquivalenceTest, NanAndInfRowsThroughPermutation) {
+  const Relation r =
+      Shuffled(DenseKeyed(7001, 2, "i", /*seed=*/38, /*specials=*/true), 39);
+  const Relation s =
+      Shuffled(DenseKeyed(7001, 2, "j", /*seed=*/40, /*specials=*/true), 41);
+  ExpectPermutedElementwiseExact(r, s, SortPolicy::kAlways,
+                                 /*left_permuted=*/true);
+  ExpectPermutedElementwiseExact(r, s, SortPolicy::kOptimized,
+                                 /*left_permuted=*/false);
+}
+
+TEST(PermutedEquivalenceTest, ScalarKernelsThroughPermutation) {
+  simd::ForceScalar(true);
+  const Relation r =
+      Shuffled(DenseKeyed(7001, 2, "i", /*seed=*/42, /*specials=*/true), 43);
+  const Relation s =
+      Shuffled(DenseKeyed(7001, 2, "j", /*seed=*/44, /*specials=*/true), 45);
+  ExpectPermutedElementwiseExact(r, s, SortPolicy::kAlways,
+                                 /*left_permuted=*/true);
+  simd::ForceScalar(false);
+}
+
+TEST(PermutedEquivalenceTest, TreeReduceCrossProductMatchesTakenInput) {
+  // Each shard packs its row range through the sort permutation; the same
+  // shard count over inputs already in key order (the permutation applied
+  // with Take up front) must give the same bytes.
+  const Relation r_sorted = DenseKeyed(7001, 4, "i", /*seed=*/46, false, "r");
+  const Relation s_sorted = DenseKeyed(7001, 3, "j", /*seed=*/47, false, "s");
+  const Relation r = Shuffled(r_sorted, 48);
+  const Relation s = Shuffled(s_sorted, 49);
+  for (int shards : {2, 3, 4, 7}) {
+    ExecContext ctx(ShardOpts(8));
+    ASSERT_OK_AND_ASSIGN(internal::BinaryArgs args,
+                         internal::PrepareBinaryArgs(ctx,
+                                                     GetOpInfo(MatrixOp::kCpd),
+                                                     r, {"i"}, s, {"j"}));
+    ASSERT_FALSE(args.left->identity());
+    ASSERT_FALSE(args.right->identity());
+    ASSERT_OK_AND_ASSIGN(std::vector<BatPtr> got,
+                         DispatchWithShards(ctx, MatrixOp::kCpd, *args.left,
+                                            *args.right, shards,
+                                            MergeKind::kTreeReduce));
+    ExecContext ref_ctx(ShardOpts(8));
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<BatPtr> want,
+        RunForced(ref_ctx, MatrixOp::kCpd, r_sorted, "i", s_sorted, "j",
+                  shards, MergeKind::kTreeReduce));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < got.size(); ++j) {
+      EXPECT_TRUE(BitEqual(ToDoubleVector(*got[j]), ToDoubleVector(*want[j])))
+          << "shards=" << shards << " col=" << j;
+    }
+  }
+}
+
+TEST(PermutedEquivalenceTest, WarmAlignedAddRecordsNoSortTime) {
+  // The second ADD of two differently ordered relations hits both prepared
+  // entries (r's and s's alignment onto r) on the shared cache, so it must
+  // record no sort time at all: the permuted read is kernel work.
+  const Relation r = DenseKeyed(200000, 4, "i", /*seed=*/50, false, "r");
+  const Relation s =
+      Shuffled(DenseKeyed(200000, 4, "j", /*seed=*/51, false, "s"), 52);
+  for (int max_shards : {1, 4}) {
+    RmaOptions opts = ShardOpts();
+    opts.sort = SortPolicy::kOptimized;
+    opts.max_shards = max_shards;
+    auto cache = std::make_shared<QueryCache>();
+    ExecContext cold(opts, cache);
+    ASSERT_OK(RmaBinary(&cold, MatrixOp::kAdd, r, {"i"}, s, {"j"}).status());
+    ExecContext warm(opts, cache);
+    ASSERT_OK(RmaBinary(&warm, MatrixOp::kAdd, r, {"i"}, s, {"j"}).status());
+    ASSERT_EQ(warm.op_stats().size(), 1u);
+    ASSERT_EQ(warm.plans().size(), 1u);
+    EXPECT_EQ(warm.plans()[0].shards > 1, max_shards > 1);
+    const RmaStats& st = warm.op_stats()[0];
+    EXPECT_EQ(st.prepared_cache_hits, 2) << "max_shards=" << max_shards;
+    EXPECT_EQ(st.prepared_cache_misses, 0);
+    EXPECT_EQ(st.sort_seconds, 0.0) << "max_shards=" << max_shards;
+    EXPECT_GT(st.compute_seconds, 0.0);
   }
 }
 

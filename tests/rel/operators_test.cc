@@ -1,10 +1,7 @@
 // Relational algebra operators and the expression layer.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -24,6 +21,7 @@ namespace {
 using rel::Expr;
 using rel::ExprPtr;
 using testing::MakeRelation;
+using testing::TempDirectory;
 
 Relation People() {
   return MakeRelation({{"name", DataType::kString},
@@ -121,21 +119,6 @@ Relation Make3(BatPtr i, BatPtr d, BatPtr s) {
                         {std::move(i), std::move(d), std::move(s)})
       .ValueOrDie();
 }
-
-/// A fresh directory under /tmp, removed with everything in it when the
-/// owner goes out of scope.
-struct TempDirectory {
-  TempDirectory() {
-    char tmpl[] = "/tmp/rma_operators_test_XXXXXX";
-    const char* dir = mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    path = dir != nullptr ? dir : "";
-  }
-  ~TempDirectory() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  std::string path;
-};
 
 /// The kI/kD/kS rows in every representation the evaluator reads: malloc
 /// TypedBats, a DoubleSliceBat view, a SparseDoubleBat, and out-of-core

@@ -419,8 +419,9 @@ TEST_F(ServerTest, CalibrationPathRefusedWithoutConfiguredDir) {
 }
 
 TEST_F(ServerTest, CalibrationPathConfinedToConfiguredDir) {
+  const ::rma::testing::TempDirectory dir;
   ServerOptions opts;
-  opts.calibration_dir = ::testing::TempDir();
+  opts.calibration_dir = dir.path;
   StartServer(opts);
   const std::string name = "rma_server_session_profile.json";
   ASSERT_OK(CostProfile::Analytic().SaveFile(opts.calibration_dir + "/" +

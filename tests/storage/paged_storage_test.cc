@@ -24,15 +24,6 @@
 namespace rma {
 namespace {
 
-/// Fresh scratch directory per test (removed by the next run's mkdtemp
-/// collisions being impossible; /tmp is tmpfs in CI).
-std::string TempDir() {
-  char tmpl[] = "/tmp/rma_paged_test_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
 /// Flips one byte at `offset` of `path` (simulates a torn or bit-rotted
 /// write that fsync ordering cannot prevent).
 void CorruptByte(const std::string& path, long offset) {
@@ -73,7 +64,8 @@ void StampVersion1(const std::string& path) {
 }
 
 TEST(Pager, RoundTripAndReopen) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const std::string path = dir + "/t.col";
   const int64_t page_bytes = 4096;
   uint64_t first = 0;
@@ -99,7 +91,8 @@ TEST(Pager, RoundTripAndReopen) {
 }
 
 TEST(Pager, ChecksumRejectsCorruptPage) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const std::string path = dir + "/t.col";
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Pager> pager,
                        Pager::Create(path, 1024));
@@ -120,7 +113,8 @@ TEST(Pager, OpenRefusesFormatVersion1) {
   // A version 1 file (byte-serial page checksums) with a valid header: the
   // header checksum passes, so Open must refuse it by its version, not call
   // it corrupt.
-  const std::string path = TempDir() + "/v1.col";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/v1.col";
   const int64_t page_bytes = 1024;
   uint64_t header[5] = {Pager::kMagic, 1, static_cast<uint64_t>(page_bytes), 0,
                         0};
@@ -142,7 +136,8 @@ TEST(Pager, ChecksumDetectsEveryOneWordFlip) {
   // A page size whose checksummed span (page id + payload) ends in 3 tail
   // bytes. Flipping one bit of any 8-byte word of the page, or of any tail
   // byte, must fail the pin, and restoring it must make the page readable.
-  const std::string path = TempDir() + "/t.col";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/t.col";
   const int64_t page_bytes = 1035;
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<Pager> pager,
                        Pager::Create(path, page_bytes));
@@ -176,7 +171,8 @@ TEST(Pager, ChecksumDetectsEveryOneWordFlip) {
 }
 
 TEST(Pager, OpenRejectsTruncatedFile) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const std::string path = dir + "/t.col";
   {
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<Pager> pager,
@@ -198,7 +194,8 @@ TEST(Pager, OpenRejectsTruncatedFile) {
 }
 
 TEST(BufferPool, HitMissEvictionStats) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const int64_t page_bytes = 1024;
   const int64_t payload = page_bytes - Pager::kPageHeaderBytes;
   // Pool holds exactly two one-page frames.
@@ -263,7 +260,8 @@ TEST(BufferPool, HitMissEvictionStats) {
 }
 
 TEST(PagedStore, SaveReopenRoundTrip) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const Relation r = workload::UniformRelation(500, 3, 11, 0.0, 100.0,
                                                /*sorted=*/false, "m");
   {
@@ -283,7 +281,8 @@ TEST(PagedStore, SaveReopenRoundTrip) {
 }
 
 TEST(PagedStore, RecoveryDiscardsTableWithMissingFile) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   std::string victim_file;
   {
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
@@ -307,7 +306,8 @@ TEST(PagedStore, RecoveryDiscardsTableWithMissingFile) {
 }
 
 TEST(Database, DurableCatalogSurvivesReopen) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const Relation m = workload::UniformRelation(300, 2, 21, 0.0, 10.0,
                                                /*sorted=*/false, "m");
   {
@@ -334,7 +334,8 @@ TEST(PagedStore, RefusesVersion1DirectoryWithoutDeletingIt) {
   // A data directory written by format version 1 is intact data this build
   // cannot read: Open must fail naming the version, and recovery must not
   // discard (delete) the tables as if they were torn.
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   {
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
                          PagedStore::Open(dir));
@@ -360,7 +361,8 @@ TEST(PagedStore, RefusesVersion1BeforeDiscardingDamagedTables) {
   // Table "a" is damaged (a column file is missing) and sorts before table
   // "m", which has a version 1 file. The version refusal must come first:
   // recovery may not delete "a"'s remaining files on the way to it.
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   {
     ASSERT_OK_AND_ASSIGN(std::shared_ptr<PagedStore> store,
                          PagedStore::Open(dir));
@@ -384,7 +386,8 @@ TEST(PagedStore, RefusesVersion1BeforeDiscardingDamagedTables) {
 }
 
 TEST(Database, CorruptPageSurfacesAsIoError) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   {
     ASSERT_OK_AND_ASSIGN(sql::Database db, sql::Database::Open(dir));
     ASSERT_OK(db.Register("m", workload::UniformRelation(2000, 1, 5, 0.0, 1.0,
@@ -405,7 +408,8 @@ TEST(Database, CorruptPageSurfacesAsIoError) {
 /// the pool budget must run eviction traffic and still produce bit-identical
 /// results to the malloc-backed baseline.
 TEST(Database, PagedVsMallocBitIdenticalUnderEviction) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const int64_t rows = 20000;
   const Relation r =
       workload::ManyOrderColumnsRelation(rows, 3, 7, 11, "r");
@@ -445,7 +449,8 @@ TEST(Database, PagedVsMallocBitIdenticalUnderEviction) {
 /// transient pins from row accessors race with whole-column pins while the
 /// pool thrashes. Run under TSan in the nightly job.
 TEST(BufferPool, ConcurrentReadsUnderEvictionPressure) {
-  const std::string dir = TempDir();
+  const testing::TempDirectory tmp;
+  const std::string& dir = tmp.path;
   const int64_t rows = 8000;
   const Relation r =
       workload::UniformRelation(rows, 4, 17, 0.0, 1.0, false, "m");

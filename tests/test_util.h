@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -11,6 +14,25 @@
 #include "util/random.h"
 
 namespace rma::testing {
+
+/// A fresh directory under /tmp, removed with everything in it when the
+/// owner goes out of scope. Declare it before anything that keeps files
+/// open inside it, so it is destroyed after them.
+struct TempDirectory {
+  TempDirectory() {
+    char tmpl[] = "/tmp/rma_test_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    path = dir != nullptr ? dir : "";
+  }
+  ~TempDirectory() {
+    if (!path.empty()) std::filesystem::remove_all(path);
+  }
+  TempDirectory(const TempDirectory&) = delete;
+  TempDirectory& operator=(const TempDirectory&) = delete;
+
+  std::string path;
+};
 
 /// Builds a relation from a schema spec and rows of values. Aborts on
 /// failure (test construction errors are programmer errors).

@@ -150,11 +150,11 @@ TEST(Dblp, PublicationListPivots) {
 
 TEST(Csv, RoundTrip) {
   const Relation r = testing::UsersRelation();
-  const std::string path = "/tmp/rma_test_roundtrip.csv";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/roundtrip.csv";
   ASSERT_OK(WriteCsv(r, path));
   const Relation back = ReadCsv(path, r.schema()).ValueOrDie();
   EXPECT_TRUE(RelationsEqualOrdered(r, back));
-  std::remove(path.c_str());
 }
 
 TEST(Csv, QuotingHandled) {
@@ -164,11 +164,11 @@ TEST(Csv, QuotingHandled) {
   b.AppendRow({std::string("a,b"), int64_t{1}}).Abort();
   b.AppendRow({std::string("quote\"inside"), int64_t{2}}).Abort();
   const Relation r = b.Finish().ValueOrDie();
-  const std::string path = "/tmp/rma_test_quoting.csv";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/quoting.csv";
   ASSERT_OK(WriteCsv(r, path));
   const Relation back = ReadCsv(path, r.schema()).ValueOrDie();
   EXPECT_TRUE(RelationsEqualOrdered(r, back));
-  std::remove(path.c_str());
 }
 
 TEST(Csv, Errors) {
@@ -176,16 +176,17 @@ TEST(Csv, Errors) {
                                   Schema::Make({{"a", DataType::kInt64}})
                                       .ValueOrDie()));
   const Relation r = testing::UsersRelation();
-  const std::string path = "/tmp/rma_test_schema.csv";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/schema.csv";
   ASSERT_OK(WriteCsv(r, path));
   EXPECT_STATUS(kInvalidArgument,
                 ReadCsv(path, Schema::Make({{"x", DataType::kInt64}})
                                   .ValueOrDie()));
-  std::remove(path.c_str());
 }
 
 TEST(Csv, ParseErrorsCite1BasedLineNumbers) {
-  const std::string path = "/tmp/rma_test_lines.csv";
+  const testing::TempDirectory tmp;
+  const std::string path = tmp.path + "/lines.csv";
   const Schema schema =
       Schema::Make({{"a", DataType::kInt64}, {"b", DataType::kDouble}})
           .ValueOrDie();
@@ -213,7 +214,6 @@ TEST(Csv, ParseErrorsCite1BasedLineNumbers) {
     EXPECT_NE(r.status().message().find("column 'a'"), std::string::npos)
         << r.status().ToString();
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace
